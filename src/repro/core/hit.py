@@ -264,7 +264,7 @@ class HitOptimizer:
                     taa.install_all_policies()
             cost = taa.total_shuffle_cost()
             trace.append(cost)
-            if _OBS.enabled and _OBS.checker is not None:
+            if _OBS.checker is not None:
                 _OBS.checker.check_taa(taa, where=f"hit.sweep[{round_idx}]")
             if cost < best_cost * (1 - self.config.tolerance):
                 best_cost = cost
@@ -339,7 +339,7 @@ class HitOptimizer:
                 raise RuntimeError(f"no feasible server for map container {cid}")
             cluster.place(cid, best_sid)
         taa.install_all_policies()
-        if _OBS.enabled and _OBS.checker is not None:
+        if _OBS.checker is not None:
             _OBS.checker.check_taa(taa, where="hit.subsequent_wave")
         final = taa.total_shuffle_cost()
         return HitResult(

@@ -150,23 +150,22 @@ def stable_match(
         proposals=proposals,
         evictions=evictions,
     )
-    if _OBS.enabled:
-        tracer = _OBS.tracer
-        tracer.count("alg2.match")
-        tracer.count("alg2.proposals", proposals)
-        tracer.count("alg2.evictions", evictions)
-        tracer.event(
-            "alg2.match",
-            containers=len(container_ids),
-            servers=len(server_ids),
-            proposals=proposals,
-            evictions=evictions,
-            unmatched=len(unmatched),
+    tracer = _OBS.tracer
+    tracer.count("alg2.match")
+    tracer.count("alg2.proposals", proposals)
+    tracer.count("alg2.evictions", evictions)
+    tracer.event(
+        "alg2.match",
+        containers=len(container_ids),
+        servers=len(server_ids),
+        proposals=proposals,
+        evictions=evictions,
+        unmatched=len(unmatched),
+    )
+    if _OBS.checker is not None:
+        _OBS.checker.check_matching_stability(
+            result, preferences, cluster, where="stable_match"
         )
-        if _OBS.checker is not None:
-            _OBS.checker.check_matching_stability(
-                result, preferences, cluster, where="stable_match"
-            )
     return result
 
 

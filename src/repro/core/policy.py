@@ -424,14 +424,13 @@ class PolicyController:
                 self._cap_flows_on[w] += 1
         self._policies[flow.flow_id] = policy
         self._flow_rates[flow.flow_id] = flow.rate
-        if _OBS.enabled:
-            _OBS.tracer.count("alg1.assign")
-            if _OBS.checker is not None:
-                _OBS.checker.check_switch_capacity(
-                    self,
-                    where=f"assign flow {flow.flow_id}",
-                    switches=policy.switch_list,
-                )
+        _OBS.tracer.count("alg1.assign")
+        if _OBS.checker is not None:
+            _OBS.checker.check_switch_capacity(
+                self,
+                where=f"assign flow {flow.flow_id}",
+                switches=policy.switch_list,
+            )
 
     def release(self, flow_id: int) -> None:
         """Remove a flow's policy, refunding its rate.
@@ -464,8 +463,7 @@ class PolicyController:
                     self._cap_load[w] = max(self._cap_load[w] - rate, 0.0)
         self._reprice(policy.switch_list)
         self._load_version += 1
-        if _OBS.enabled:
-            _OBS.tracer.count("alg1.release")
+        _OBS.tracer.count("alg1.release")
 
     def clear(self) -> None:
         """Drop every installed policy and reset loads to exactly zero."""
@@ -549,18 +547,6 @@ class PolicyController:
         """
         if src_server == dst_server:
             return ((src_server,), 0.0)
-        if _OBS.enabled:
-            return self._optimal_path_traced(
-                src_server, dst_server, rate, enforce_capacity
-            )
-        return self._optimal_path_impl(
-            src_server, dst_server, rate, enforce_capacity
-        )
-
-    def _optimal_path_traced(
-        self, src_server: int, dst_server: int, rate: float,
-        enforce_capacity: bool,
-    ) -> tuple[tuple[int, ...], float]:
         tracer = _OBS.tracer
         tracer.count("alg1.optimal_path")
         with tracer.timeit("alg1.optimal_path"):
@@ -584,8 +570,7 @@ class PolicyController:
         # DP can come back empty (every shortest path crosses a dead switch)
         # while a slightly longer live detour exists.
         if enforce_capacity or self._failed_switches or self._failed_links:
-            if _OBS.enabled:
-                _OBS.tracer.count("alg1.slack_fallback")
+            _OBS.tracer.count("alg1.slack_fallback")
             broken = bool(self._failed_switches or self._failed_links)
             for slack in range(1, self.max_slack + 1):
                 best: tuple[int, ...] | None = None

@@ -133,11 +133,8 @@ class PairCostCache:
         self._sync()
         cached = self._columns.get(server_id)
         if cached is None:
-            if _OBS.enabled:
-                _OBS.tracer.count("pref.unit_matrix.build")
-                with _OBS.tracer.timeit("pref.unit_matrix"):
-                    cached = self._price_column(server_id)
-            else:
+            _OBS.tracer.count("pref.unit_matrix.build")
+            with _OBS.tracer.timeit("pref.unit_matrix"):
                 cached = self._price_column(server_id)
             self._columns[server_id] = cached
         return cached
@@ -338,10 +335,7 @@ def build_preference_matrix(
     matrix over the same axes) donates its cached rankings for rows/columns
     whose inputs did not change — see :meth:`PreferenceMatrix.chain_previous`.
     """
-    if _OBS.enabled:
-        with _OBS.tracer.timeit("pref.build"):
-            matrix = _build_preference_matrix(taa, container_ids, cache)
-    else:
+    with _OBS.tracer.timeit("pref.build"):
         matrix = _build_preference_matrix(taa, container_ids, cache)
     matrix.chain_previous(previous)
     return matrix

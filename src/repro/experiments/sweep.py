@@ -721,9 +721,9 @@ def _pool_run_cell(
 
 def _trace_cell(cell: CellConfig, elapsed: float, error: str | None) -> None:
     """Per-cell obs hook: aggregate timer + one JSONL event when tracing."""
-    if not _OBS.enabled:
-        return
     tracer = _OBS.tracer
+    if not tracer.enabled:
+        return  # the cell timer is fed by hand: only a real Tracer has one
     tracer.count("sweep.cells_failed" if error else "sweep.cells_ran")
     tracer.timers.setdefault("sweep.cell", TimerStat()).add(elapsed)
     tracer.event(
@@ -782,16 +782,15 @@ def run_sweep(
                 _, elapsed, error = future.result()
                 _finish_cell(result, cell, elapsed, error)
 
-    if _OBS.enabled:
-        _OBS.tracer.event(
-            "sweep.summary",
-            spec_hash=spec.spec_hash()[:12],
-            cells=len(cells),
-            ran=len(result.ran),
-            cached=len(result.cached),
-            failed=len(result.failed),
-            workers=workers,
-        )
+    _OBS.tracer.event(
+        "sweep.summary",
+        spec_hash=spec.spec_hash()[:12],
+        cells=len(cells),
+        ran=len(result.ran),
+        cached=len(result.cached),
+        failed=len(result.failed),
+        workers=workers,
+    )
     return result
 
 

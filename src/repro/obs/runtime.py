@@ -8,14 +8,17 @@ Instrumented modules (``core/policy.py``, ``core/matching.py``,
 
     from ..obs.runtime import STATE as _OBS
     ...
-    if _OBS.enabled:                      # one attribute load + branch
-        if _OBS.checker is not None:
-            _OBS.checker.check_switch_capacity(self, where="assign")
-        _OBS.tracer.count("alg1.assign")
+    _OBS.tracer.count("alg1.assign")      # tracer: always called
+    if _OBS.checker is not None:          # checker: one load + branch
+        _OBS.checker.check_switch_capacity(self, where="assign")
+    with _OBS.tracer.timeit("alg1.optimal_path"):
+        ...
 
-With nothing installed ``STATE.enabled`` is ``False`` and the entire hook
-costs a single predictable branch — the subsystem's "near-zero overhead when
-disabled" contract.
+With nothing installed the tracer is the shared
+:data:`~repro.obs.tracer.NULL_TRACER`: a hook costs one no-op method call,
+and its ``timeit`` / ``span`` return one shared no-op context object (no
+generator is created), while each checker hook costs a single predictable
+branch — the subsystem's "near-zero overhead when disabled" contract.
 
 Installation is either explicit (:func:`install` / :func:`uninstall`, or the
 :func:`observe` context manager used by the CLI and tests) or via

@@ -4,9 +4,9 @@ Two tracer flavours share one interface:
 
 * :class:`NullTracer` — the default; every operation is a no-op and the
   singleton :data:`NULL_TRACER` is what instrumented code sees when tracing
-  is off.  Hot paths additionally guard on ``STATE.enabled`` (see
-  :mod:`repro.obs.runtime`) so the disabled cost is one attribute load and a
-  branch.
+  is off.  Hot paths call it unconditionally (see :mod:`repro.obs.runtime`):
+  a disabled hook costs one method call, and its timers hand back one shared
+  no-op context object, so no generator is created.
 * :class:`Tracer` — accumulates named counters and aggregate timers
   in-process and, when given a sink, emits one JSON object per line
   (``{"ev": ..., "name": ..., ...}``) for offline analysis.
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import IO, Any, Iterator
 
 __all__ = ["NullTracer", "NULL_TRACER", "Tracer", "TimerStat"]
@@ -44,17 +44,18 @@ class NullTracer:
     def event(self, name: str, **attrs: Any) -> None:
         pass
 
-    @contextmanager
-    def timeit(self, name: str) -> Iterator[None]:
-        yield
+    def timeit(self, name: str) -> nullcontext:
+        return _NO_OP
 
-    @contextmanager
-    def span(self, name: str, **attrs: Any) -> Iterator[None]:
-        yield
+    def span(self, name: str, **attrs: Any) -> nullcontext:
+        return _NO_OP
 
     def close(self) -> None:
         pass
 
+
+#: The one context object every disabled timer returns (reusable, reentrant).
+_NO_OP = nullcontext()
 
 #: Shared no-op instance — instrumented modules read this when tracing is off.
 NULL_TRACER = NullTracer()

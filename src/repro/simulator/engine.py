@@ -80,6 +80,16 @@ from .network import DelayModel, FlowNetwork
 
 __all__ = ["SimulationConfig", "MapReduceSimulator", "run_simulation"]
 
+#: Tracer counter name per event kind (``sim.event.<kind>``).
+_EVENT_COUNTERS = {kind: f"sim.event.{kind.name.lower()}" for kind in EventKind}
+
+#: Link fault events -> (injector transition method, provenance reason).
+_LINK_EVENTS = {
+    EventKind.LINK_FAIL: ("mark_link_failed", "link-fail"),
+    EventKind.LINK_RECOVER: ("mark_link_recovered", "link-recover"),
+    EventKind.LINK_DEGRADE: ("mark_link_degraded", "link-degrade"),
+}
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -348,16 +358,15 @@ class MapReduceSimulator:
                 )
             )
         events = 0
-        observed = _OBS.enabled
+        tracer = _OBS.tracer
         recorder = self.timeline
         prov = self.provenance
-        if observed:
-            _OBS.tracer.event(
-                "sim.run.start",
-                scheduler=self.scheduler.name,
-                jobs=len(self.jobs),
-                servers=self.topology.num_servers,
-            )
+        tracer.event(
+            "sim.run.start",
+            scheduler=self.scheduler.name,
+            jobs=len(self.jobs),
+            servers=self.topology.num_servers,
+        )
         while self._queue:
             event = self._queue.pop()
             events += 1
@@ -372,10 +381,9 @@ class MapReduceSimulator:
                 # Stamp the audit clock so hooks deep inside schedulers and
                 # handlers never need one of their own.
                 prov.now = event.time
-            if observed:
-                self._dispatch_traced(event)
-                continue
-            self._dispatch(event)
+            tracer.count(_EVENT_COUNTERS[event.kind])
+            with tracer.timeit("sim.dispatch"):
+                self._dispatch(event)
         self.events_processed = events
         if recorder is not None:
             recorder.finish(self, self._net_time)
@@ -396,33 +404,30 @@ class MapReduceSimulator:
                 f"simulation ended with {len(unfinished)} unfinished and "
                 f"{len(self._pending)} unadmitted jobs"
             )
-        if observed:
-            _OBS.tracer.event(
-                "sim.run.end", scheduler=self.scheduler.name, events=events
+        tracer.event("sim.run.end", scheduler=self.scheduler.name, events=events)
+        if self.admission is not None:
+            for name, value in self.admission.counters().items():
+                tracer.count(name, value)
+        if self.faults is not None:
+            for name, value in self.faults.summary().items():
+                tracer.count(name, value)
+        if self.speculation is not None:
+            for name, value in self.speculation.summary().items():
+                tracer.count(name, value)
+        if _OBS.checker is not None:
+            # End-of-run quiescence: every flow drained, every policy
+            # released, switch loads back to exactly their base values.
+            _OBS.checker.check_quiescent(
+                self.controller, self.network, where="sim.run.end"
             )
-            if self.admission is not None:
-                for name, value in self.admission.counters().items():
-                    _OBS.tracer.count(name, value)
-            if self.faults is not None:
-                for name, value in self.faults.summary().items():
-                    _OBS.tracer.count(name, value)
             if self.speculation is not None:
-                for name, value in self.speculation.summary().items():
-                    _OBS.tracer.count(name, value)
-            if _OBS.checker is not None:
-                # End-of-run quiescence: every flow drained, every policy
-                # released, switch loads back to exactly their base values.
-                _OBS.checker.check_quiescent(
-                    self.controller, self.network, where="sim.run.end"
+                _OBS.checker.check_speculation(
+                    self.speculation, where="sim.run.end"
                 )
-                if self.speculation is not None:
-                    _OBS.checker.check_speculation(
-                        self.speculation, where="sim.run.end"
-                    )
-                if self.admission is not None:
-                    _OBS.checker.check_online_accounting(
-                        self.admission, self.metrics, where="sim.run.end"
-                    )
+            if self.admission is not None:
+                _OBS.checker.check_online_accounting(
+                    self.admission, self.metrics, where="sim.run.end"
+                )
         return self.metrics
 
     def _dispatch(self, event: Event) -> None:
@@ -459,12 +464,8 @@ class MapReduceSimulator:
             self._on_switch_fail(event.time, event.payload)
         elif event.kind is EventKind.SWITCH_RECOVER:
             self._on_switch_recover(event.time, event.payload)
-        elif event.kind is EventKind.LINK_FAIL:
-            self._on_link_fail(event.time, *event.payload)
-        elif event.kind is EventKind.LINK_RECOVER:
-            self._on_link_recover(event.time, *event.payload)
-        elif event.kind is EventKind.LINK_DEGRADE:
-            self._on_link_degrade(event.time, *event.payload)
+        elif event.kind in _LINK_EVENTS:
+            self._on_link_event(event.time, event.kind, *event.payload)
         elif event.kind is EventKind.TASK_SLOWDOWN:
             self._on_task_slowdown(event.time, *event.payload)
         elif event.kind is EventKind.TASK_RETRY:
@@ -472,21 +473,13 @@ class MapReduceSimulator:
         self._drain_completed(event.time)
         self._schedule_network_checkpoint(event.time)
 
-    def _dispatch_traced(self, event: Event) -> None:
-        """Observed-mode dispatch: event counters/timers plus the network
-        and controller invariant checkpoints."""
-        tracer = _OBS.tracer
-        tracer.count(f"sim.event.{event.kind.name.lower()}")
-        with tracer.timeit("sim.dispatch"):
-            self._dispatch(event)
-
     # ---------------------------------------------------------- network glue
     def _advance_network(self, now: float) -> None:
         dt = now - self._net_time
         if dt > 0:
             self.network.advance(dt)
         self._net_time = now
-        if _OBS.enabled and _OBS.checker is not None:
+        if _OBS.checker is not None:
             # Checkpoint: the fluid allocation must stay feasible every time
             # simulated time moves.
             _OBS.checker.check_flow_conservation(
@@ -562,7 +555,7 @@ class MapReduceSimulator:
                 )
             )
             self._flow_done(now, fid, flow.map_index)
-        if _OBS.enabled and _OBS.checker is not None:
+        if _OBS.checker is not None:
             # Checkpoint: after completions are drained the controller's
             # bookkeeping and the shared cluster must be consistent.
             where = f"drain t={now:.6g}"
@@ -670,52 +663,39 @@ class MapReduceSimulator:
         self._try_admit(now)
 
     def _try_admit(self, now: float) -> None:
-        if self.admission is not None:
-            self._try_admit_online(now)
-            return
-        while self._pending:
-            job = self._pending[0]
-            spec = job.spec
-            free = self._free_slots()
-            wave = spec.num_maps
-            if self.config.map_slots_per_job is not None:
-                wave = min(wave, self.config.map_slots_per_job)
-            needed_min = 1 + spec.num_reduces  # at least one map slot
-            if free < needed_min:
-                return  # FIFO: head blocks the queue (no starvation)
-            wave = min(wave, max(1, free - spec.num_reduces))
-            self._pending.pop(0)
-            job.wave_size = wave
-            job.start_time = now
-            self._start_job(now, job)
+        """Start queued jobs, head first, while the head fits.
 
-    def _try_admit_online(self, now: float) -> None:
-        """Online-plane queue drain: weighted-fair across tenant queues,
-        deferred entirely while the backpressure latch holds.
-
-        The fair-share head blocks its whole drain round exactly like the
-        batch FIFO head blocks `_pending` — skipping past a big job to
+        The head is the FIFO front of ``_pending`` (batch intake) or the
+        online plane's weighted-fair pick across tenant queues, which defers
+        the whole drain while its backpressure latch holds.  Either way the
+        head blocks the queue until it fits — skipping past a big job to
         start a smaller one would starve it indefinitely under sustained
         load.
         """
         admission = self.admission
-        assert admission is not None
         while True:
-            if admission.defer(self.cluster.occupancy(), len(self._parked)):
-                return
-            spec = admission.peek()
-            if spec is None:
-                return
+            if admission is None:
+                if not self._pending:
+                    return
+                spec = self._pending[0].spec
+            else:
+                if admission.defer(self.cluster.occupancy(), len(self._parked)):
+                    return
+                spec = admission.peek()
+                if spec is None:
+                    return
             free = self._free_slots()
+            if free < 1 + spec.num_reduces:  # at least one map slot
+                return
             wave = spec.num_maps
             if self.config.map_slots_per_job is not None:
                 wave = min(wave, self.config.map_slots_per_job)
-            if free < 1 + spec.num_reduces:
-                return
-            wave = min(wave, max(1, free - spec.num_reduces))
-            admission.commit(spec)
-            job = self._jobs_by_id[spec.job_id]
-            job.wave_size = wave
+            if admission is None:
+                job = self._pending.pop(0)
+            else:
+                admission.commit(spec)
+                job = self._jobs_by_id[spec.job_id]
+            job.wave_size = min(wave, max(1, free - spec.num_reduces))
             job.start_time = now
             self._start_job(now, job)
 
@@ -736,23 +716,31 @@ class MapReduceSimulator:
         flows = []
         for cid, mi in map_cids.items():
             for reduce_state in job.reduces.values():
-                size = float(job.matrix[mi, reduce_state.index])
-                if size <= 1e-12:
-                    continue
-                flows.append(
-                    ShuffleFlow(
-                        flow_id=self._next_flow_id,
-                        job_id=job.spec.job_id,
-                        map_index=mi,
-                        reduce_index=reduce_state.index,
-                        src_container=cid,
-                        dst_container=reduce_state.container_id,
-                        size=size,
-                        rate=size / self.config.rate_epoch,
-                    )
-                )
-                self._next_flow_id += 1
+                flow = self._new_flow(job, mi, cid, reduce_state)
+                if flow is not None:
+                    flows.append(flow)
         return flows
+
+    def _new_flow(
+        self, job: _JobState, map_index: int, src_cid: int,
+        reduce_state: _ReduceState,
+    ) -> ShuffleFlow | None:
+        """The shuffle flow of one map -> reduce partition (None if empty)."""
+        size = float(job.matrix[map_index, reduce_state.index])
+        if size <= 1e-12:
+            return None
+        flow = ShuffleFlow(
+            flow_id=self._next_flow_id,
+            job_id=job.spec.job_id,
+            map_index=map_index,
+            reduce_index=reduce_state.index,
+            src_container=src_cid,
+            dst_container=reduce_state.container_id,
+            size=size,
+            rate=size / self.config.rate_epoch,
+        )
+        self._next_flow_id += 1
+        return flow
 
     def _planning_context(
         self, flows: list[ShuffleFlow]
@@ -803,18 +791,7 @@ class MapReduceSimulator:
                 input_size=float(job.matrix[:, ri].sum()),
                 start_time=now,
             )
-        map_cids: dict[int, int] = {}
-        for _ in range(min(job.wave_size, spec.num_maps)):
-            mi = job.next_map_index
-            job.next_map_index += 1
-            cid = self._new_container(TaskRef(spec.job_id, TaskKind.MAP, mi))
-            map_cids[cid] = mi
-            job.map_cid_of[mi] = cid
-        job.map_containers = map_cids
-
-        flows = self._make_flows(job, map_cids)
-        self._register_flows(job, flows)
-        ctx = self._planning_context(flows)
+        map_cids, ctx = self._new_map_wave(job)
         self.scheduler.place_initial_wave(
             ctx,
             spec,
@@ -829,6 +806,24 @@ class MapReduceSimulator:
                     self._schedule_retry(now, reduce_state.container_id)
         self._launch_maps(now, job, map_cids)
 
+    def _new_map_wave(
+        self, job: _JobState
+    ) -> tuple[dict[int, int], SchedulingContext]:
+        """Containers and shuffle flows of the job's next map wave, plus
+        the planning context the scheduler places them in."""
+        spec = job.spec
+        map_cids: dict[int, int] = {}
+        for _ in range(min(job.wave_size, spec.num_maps - job.next_map_index)):
+            mi = job.next_map_index
+            job.next_map_index += 1
+            cid = self._new_container(TaskRef(spec.job_id, TaskKind.MAP, mi))
+            map_cids[cid] = mi
+            job.map_cid_of[mi] = cid
+        job.map_containers = map_cids
+        flows = self._make_flows(job, map_cids)
+        self._register_flows(job, flows)
+        return map_cids, self._planning_context(flows)
+
     def _register_flows(self, job: _JobState, flows: list[ShuffleFlow]) -> None:
         for flow in flows:
             self._flow_objects[flow.flow_id] = flow
@@ -841,32 +836,44 @@ class MapReduceSimulator:
     def _launch_maps(
         self, now: float, job: _JobState, map_cids: dict[int, int]
     ) -> None:
-        spec = job.spec
         for cid, mi in map_cids.items():
-            server = self.cluster.container(cid).server_id
-            if server is None:
-                # Only reachable on fault runs: the degraded fabric could not
-                # host this map yet.  It still counts as running (the wave
-                # barrier must wait for it) and launches via the retry path.
-                assert self.faults is not None, (
-                    "scheduler left a map container unplaced"
-                )
-                job.maps_running += 1
-                self._schedule_retry(now, cid)
-                continue
-            duration, nominal = self._map_timing(job, mi, server)
             job.maps_running += 1
-            if self.speculation is not None:
-                self.speculation.tracker.note_start(
-                    spec.job_id, mi, cid, now, duration, nominal
-                )
-            self._queue.push(
-                Event(
-                    now + duration,
-                    EventKind.MAP_DONE,
-                    payload=(spec.job_id, cid, mi, now, self._attempt.get(cid, 0)),
-                )
+            if self.cluster.container(cid).is_placed:
+                self._launch_attempt(now, job, cid, mi)
+                continue
+            # Only reachable on fault runs: the degraded fabric could not
+            # host this map yet.  It still counts as running (the wave
+            # barrier must wait for it) and launches via the retry path.
+            assert self.faults is not None, (
+                "scheduler left a map container unplaced"
             )
+            self._schedule_retry(now, cid)
+
+    def _launch_attempt(
+        self, now: float, job: _JobState, cid: int, map_index: int
+    ) -> None:
+        """Start a placed map attempt (first run, re-execution or backup):
+        time it on its server and queue its MAP_DONE."""
+        server = self.cluster.container(cid).server_id
+        assert server is not None
+        duration, nominal = self._map_timing(job, map_index, server)
+        if self.speculation is not None:
+            self.speculation.tracker.note_start(
+                job.spec.job_id, map_index, cid, now, duration, nominal
+            )
+        self._queue.push(
+            Event(
+                now + duration,
+                EventKind.MAP_DONE,
+                payload=(
+                    job.spec.job_id,
+                    cid,
+                    map_index,
+                    now,
+                    self._attempt.get(cid, 0),
+                ),
+            )
+        )
 
     def _map_timing(
         self, job: _JobState, map_index: int, server: int
@@ -967,29 +974,13 @@ class MapReduceSimulator:
                     self.cluster.unplace(done_cid)
             job.map_containers = {}
             if job.next_map_index < job.spec.num_maps:
-                self._start_next_wave(now, job)
+                map_cids, ctx = self._new_map_wave(job)
+                self.scheduler.place_map_wave(ctx, job.spec, list(map_cids))
+                self._launch_maps(now, job, map_cids)
             else:
                 for reduce_state in job.reduces.values():
                     self._maybe_finish_reduce(now, job, reduce_state)
             self._try_admit(now)
-
-    def _start_next_wave(self, now: float, job: _JobState) -> None:
-        spec = job.spec
-        remaining = spec.num_maps - job.next_map_index
-        count = min(job.wave_size, remaining)
-        map_cids: dict[int, int] = {}
-        for _ in range(count):
-            mi = job.next_map_index
-            job.next_map_index += 1
-            cid = self._new_container(TaskRef(spec.job_id, TaskKind.MAP, mi))
-            map_cids[cid] = mi
-            job.map_cid_of[mi] = cid
-        job.map_containers = map_cids
-        flows = self._make_flows(job, map_cids)
-        self._register_flows(job, flows)
-        ctx = self._planning_context(flows)
-        self.scheduler.place_map_wave(ctx, spec, list(map_cids))
-        self._launch_maps(now, job, map_cids)
 
     def _start_flows_from(
         self, now: float, job: _JobState, map_cid: int, map_index: int
@@ -1199,25 +1190,30 @@ class MapReduceSimulator:
                 server=server_id,
                 **injector.provenance_context(),
             )
-        hosted = self.cluster.hosted_on(server_id)  # sorted => deterministic
         self.cluster.fail_server(server_id)
         # Kill resident tasks.  Completed maps still holding their wave slot
-        # are handled by the lost-output sweep below, not as running tasks.
-        for cid in hosted:
+        # (output present, or lost and deferred) are not running tasks: the
+        # lost-output sweep below owns them.  Classify every container
+        # before handling any — a reducer restart can itself re-execute or
+        # defer a completed map hosted here, which must not then be mistaken
+        # for a running one.
+        resident = []
+        for cid in self.cluster.hosted_on(server_id):  # sorted: deterministic
             task = self.cluster.container(cid).task
             job = self._jobs_by_id[task.job_id]
+            if task.kind is TaskKind.MAP and (
+                task.index in job.map_output_server
+                or task.index in job.lost_outputs
+            ):
+                continue  # completed map
+            resident.append((cid, task, job))
+        for cid, task, job in resident:
             if task.kind is TaskKind.MAP:
-                if task.index in job.map_output_server:
-                    continue  # completed map: the lost-output sweep owns it
                 sp = self.speculation
-                if sp is not None and cid in sp.primary_of:
-                    # The speculative copy died with its server: the
-                    # original keeps running, no retry budget is charged.
-                    self._cancel_backup(now, job, cid)
-                elif sp is not None and cid in sp.backup_of:
-                    # The original died but its backup lives: promote the
-                    # backup to sole attempt instead of re-queueing.
-                    self._promote_backup(now, job, cid)
+                if sp is not None and (
+                    cid in sp.primary_of or cid in sp.backup_of
+                ):
+                    self._drop_paired_attempt(job, cid)
                 else:
                     self._kill_running_map(now, job, cid, task.index)
             else:
@@ -1266,31 +1262,10 @@ class MapReduceSimulator:
             )
         self.controller.fail_switch(switch_id)
         invalidate_topology_caches(self.topology)
-        # Reroute every flow crossing the dead switch; park the ones with no
-        # remaining live path until a recovery reconnects their endpoints.
-        for active in self.network.active_flows:
-            if switch_id not in active.path or active.remaining <= 0.0:
-                continue  # unaffected, or already finished awaiting drain
-            flow = self._flow_objects[active.flow_id]
-            path = self._route(flow, active.path[0], active.path[-1])
-            if self.provenance is not None:
-                self.provenance.emit(
-                    "reroute",
-                    "switch-fail-reroute",
-                    job=flow.job_id,
-                    task=flow_label(flow.map_index, flow.reduce_index),
-                    switch=switch_id,
-                    outcome="parked" if path is None else "rerouted",
-                    remaining=active.remaining,
-                )
-            if path is None:
-                remaining = active.remaining
-                self.network.remove_flow(active.flow_id)
-                self.controller.release(active.flow_id)
-                self._park_flow(active.flow_id, remaining, now)
-            else:
-                self.network.reroute_flow(active.flow_id, path)
-                injector.count("faults.flows_rerouted")
+        self._reroute_or_park(
+            now, lambda path: switch_id in path, "switch-fail-reroute",
+            switch=switch_id,
+        )
 
     def _on_switch_recover(self, now: float, switch_id: int) -> None:
         injector = self.faults
@@ -1308,63 +1283,15 @@ class MapReduceSimulator:
         invalidate_topology_caches(self.topology)
         self._unpark_flows(now)
 
-    def _on_link_fail(self, now: float, u: int, v: int) -> None:
-        injector = self.faults
-        assert injector is not None
-        was_dead = ((u, v) if u <= v else (v, u)) in injector.dead_links
-        if not injector.mark_link_failed(u, v):
-            return
-        if self.provenance is not None:
-            self.provenance.emit(
-                "fault",
-                "link-fail",
-                link=[u, v],
-                **injector.provenance_context(),
-            )
-        self._sync_link_state(now, u, v, was_dead)
-
-    def _on_link_recover(self, now: float, u: int, v: int) -> None:
-        injector = self.faults
-        assert injector is not None
-        was_dead = ((u, v) if u <= v else (v, u)) in injector.dead_links
-        if not injector.mark_link_recovered(u, v):
-            return
-        if self.provenance is not None:
-            self.provenance.emit(
-                "fault",
-                "link-recover",
-                link=[u, v],
-                **injector.provenance_context(),
-            )
-        self._sync_link_state(now, u, v, was_dead)
-
-    def _on_link_degrade(
-        self, now: float, u: int, v: int, factor: float
+    def _on_link_event(
+        self, now: float, kind: EventKind, u: int, v: int, *factor: float
     ) -> None:
-        """Fail-slow link: scale capacity to ``factor`` × nominal.
+        """Link fault: hard fail, recovery, or fail-slow degrade.
 
-        Factor 0.0 kills the link (flows reroute or park exactly as for a
-        hard ``link-fail``), anything in (0, 1) just squeezes the max-min
-        allocation, and 1.0 restores nominal bandwidth."""
-        injector = self.faults
-        assert injector is not None
-        was_dead = ((u, v) if u <= v else (v, u)) in injector.dead_links
-        if not injector.mark_link_degraded(u, v, factor):
-            return
-        if self.provenance is not None:
-            self.provenance.emit(
-                "fault",
-                "link-degrade",
-                link=[u, v],
-                factor=factor,
-                **injector.provenance_context(),
-            )
-        self._sync_link_state(now, u, v, was_dead)
-
-    def _sync_link_state(
-        self, now: float, u: int, v: int, was_dead: bool
-    ) -> None:
-        """Propagate a link-fault transition into network + controller.
+        A degrade scales capacity to ``factor`` × nominal: 0.0 kills the
+        link (flows reroute or park exactly as for a hard ``link-fail``),
+        anything in (0, 1) just squeezes the max-min allocation, and 1.0
+        restores nominal bandwidth.
 
         The injector is the source of truth: the fluid network's capacity
         follows :meth:`FaultInjector.link_capacity_factor` and the routing
@@ -1374,49 +1301,71 @@ class MapReduceSimulator:
         """
         injector = self.faults
         assert injector is not None
+        mark, reason = _LINK_EVENTS[kind]
         key = (u, v) if u <= v else (v, u)
-        dead = key in injector.dead_links
+        was_dead = key in injector.dead_links
+        if not getattr(injector, mark)(u, v, *factor):
+            return
+        if self.provenance is not None:
+            self.provenance.emit(
+                "fault",
+                reason,
+                link=[u, v],
+                **({"factor": factor[0]} if factor else {}),
+                **injector.provenance_context(),
+            )
         self.network.set_link_capacity_factor(
             u, v, injector.link_capacity_factor(u, v)
         )
+        dead = key in injector.dead_links
         if dead == was_dead:
             return
         if dead:
             self.controller.fail_link(u, v)
             invalidate_topology_caches(self.topology)
-            # Reroute every flow whose path crosses the dead link; park the
-            # ones with no remaining live path until a recovery.
-            for active in self.network.active_flows:
-                if active.remaining <= 0.0:
-                    continue  # already finished awaiting drain
-                hops = zip(active.path, active.path[1:])
-                if not any(((a, b) if a <= b else (b, a)) == key
-                           for a, b in hops):
-                    continue
-                flow = self._flow_objects[active.flow_id]
-                path = self._route(flow, active.path[0], active.path[-1])
-                if self.provenance is not None:
-                    self.provenance.emit(
-                        "reroute",
-                        "link-fail-reroute",
-                        job=flow.job_id,
-                        task=flow_label(flow.map_index, flow.reduce_index),
-                        link=[u, v],
-                        outcome="parked" if path is None else "rerouted",
-                        remaining=active.remaining,
-                    )
-                if path is None:
-                    remaining = active.remaining
-                    self.network.remove_flow(active.flow_id)
-                    self.controller.release(active.flow_id)
-                    self._park_flow(active.flow_id, remaining, now)
-                else:
-                    self.network.reroute_flow(active.flow_id, path)
-                    injector.count("faults.flows_rerouted")
+            self._reroute_or_park(
+                now,
+                lambda path: any(
+                    ((a, b) if a <= b else (b, a)) == key
+                    for a, b in zip(path, path[1:])
+                ),
+                "link-fail-reroute",
+                link=[u, v],
+            )
         else:
             self.controller.recover_link(u, v)
             invalidate_topology_caches(self.topology)
             self._unpark_flows(now)
+
+    def _reroute_or_park(self, now: float, crosses, reason: str, **where) -> None:
+        """Reroute every unfinished flow whose path ``crosses`` a dead
+        element; park the ones with no remaining live path until a
+        recovery reconnects their endpoints."""
+        injector = self.faults
+        assert injector is not None
+        for active in self.network.active_flows:
+            if active.remaining <= 0.0 or not crosses(active.path):
+                continue  # already finished awaiting drain, or unaffected
+            flow = self._flow_objects[active.flow_id]
+            path = self._route(flow, active.path[0], active.path[-1])
+            if self.provenance is not None:
+                self.provenance.emit(
+                    "reroute",
+                    reason,
+                    job=flow.job_id,
+                    task=flow_label(flow.map_index, flow.reduce_index),
+                    **where,
+                    outcome="parked" if path is None else "rerouted",
+                    remaining=active.remaining,
+                )
+            if path is None:
+                remaining = active.remaining
+                self.network.remove_flow(active.flow_id)
+                self.controller.release(active.flow_id)
+                self._park_flow(active.flow_id, remaining, now)
+            else:
+                self.network.reroute_flow(active.flow_id, path)
+                injector.count("faults.flows_rerouted")
 
     def _on_task_slowdown(
         self, now: float, server_id: int, factor: float
@@ -1592,25 +1541,11 @@ class MapReduceSimulator:
         # Re-fetch what had already been delivered: fresh flows with the
         # original endpoints and sizes.
         for mi in sorted(reduce_state.received):
-            size = float(job.matrix[mi, reduce_state.index])
-            if size <= 1e-12:
-                continue
             src_cid = job.map_cid_of[mi]
-            flow = ShuffleFlow(
-                flow_id=self._next_flow_id,
-                job_id=job.spec.job_id,
-                map_index=mi,
-                reduce_index=reduce_state.index,
-                src_container=src_cid,
-                dst_container=cid,
-                size=size,
-                rate=size / self.config.rate_epoch,
-            )
-            self._next_flow_id += 1
-            self._flow_objects[flow.flow_id] = flow
-            self._flow_index[flow.flow_id] = (job.spec.job_id, reduce_state.index)
-            self._flow_by_endpoints[(src_cid, cid)] = flow.flow_id
-            reduce_state.pending_flows.add(flow.flow_id)
+            flow = self._new_flow(job, mi, src_cid, reduce_state)
+            if flow is None:
+                continue
+            self._register_flows(job, [flow])
             source = job.map_output_server.get(mi)
             if source is None or self.cluster.is_failed(source):
                 self._restart_map(now, job, src_cid, mi)
@@ -1661,7 +1596,7 @@ class MapReduceSimulator:
             return
         task = container.task
         job = self._jobs_by_id[task.job_id]
-        server = self._pick_retry_server(cid)
+        server = self._most_residual(self.cluster.candidate_servers(cid))
         if server is None:
             # No live server fits right now: exponential backoff (a server
             # recovery also re-triggers the retry immediately).
@@ -1693,50 +1628,22 @@ class MapReduceSimulator:
                 retries_charged=self._retries.get(cid, 0),
             )
         if task.kind is TaskKind.MAP:
-            self._relaunch_map(now, job, cid, task.index)
+            # maps_running already counts a re-executed map.
+            self._launch_attempt(now, job, cid, task.index)
         else:
             self._relaunch_reduce(now, job, job.reduces[task.index])
 
-    def _pick_retry_server(self, cid: int) -> int | None:
-        """Deterministic greedy re-placement: the live fitting server with
-        the most residual memory (then vcores), lowest id on ties.  Retry
-        placement is deliberately scheduler-independent — it models the RM's
-        emergency re-grant, not a fresh scheduling decision."""
-        best: int | None = None
-        best_key: tuple[float, float] | None = None
-        for sid in self.cluster.candidate_servers(cid):
-            if not self.cluster.fits(cid, sid):
-                continue
-            residual = self.cluster.residual(sid)
-            key = (residual.memory, residual.vcores)
-            if best_key is None or key > best_key:
-                best, best_key = sid, key
-        return best
+    def _most_residual(self, servers: list[int]) -> int | None:
+        """Deterministic greedy pick: the server with the most residual
+        memory (then vcores), first in ``servers`` on ties, None when empty.
 
-    def _relaunch_map(
-        self, now: float, job: _JobState, cid: int, map_index: int
-    ) -> None:
-        """Launch a re-placed map attempt (``maps_running`` already counts
-        it, so this is :meth:`_launch_maps` minus the accounting)."""
-        server = self.cluster.container(cid).server_id
-        assert server is not None
-        duration, nominal = self._map_timing(job, map_index, server)
-        if self.speculation is not None:
-            self.speculation.tracker.note_start(
-                job.spec.job_id, map_index, cid, now, duration, nominal
-            )
-        self._queue.push(
-            Event(
-                now + duration,
-                EventKind.MAP_DONE,
-                payload=(
-                    job.spec.job_id,
-                    cid,
-                    map_index,
-                    now,
-                    self._attempt.get(cid, 0),
-                ),
-            )
+        Retry re-placement (over the live servers that fit) and the baseline
+        backup placement both use it; it is deliberately scheduler-
+        independent — it models the RM's emergency re-grant, not a fresh
+        scheduling decision."""
+        residual = self.cluster.residual
+        return max(
+            servers, key=lambda sid: residual(sid).as_tuple(), default=None
         )
 
     def _relaunch_reduce(
@@ -1848,10 +1755,7 @@ class MapReduceSimulator:
             ranked = self.scheduler.rank_backup_servers(
                 ctx, job.spec, flows, candidates
             )
-        if ranked:
-            server = ranked[0]
-        else:
-            server = self._greedy_backup_pick(candidates)
+        server = ranked[0] if ranked else self._most_residual(candidates)
         # Too-late guard: a backup that cannot finish strictly before the
         # straggler's own expected completion can never win — launching it
         # would only burn a slot and guarantee a spec.loss.
@@ -1878,25 +1782,9 @@ class MapReduceSimulator:
         )
         self.cluster.place(bcid, server)
         sp.pair(job.spec.job_id, cand.cid, bcid)
-        duration, nominal = self._map_timing(job, map_index, server)
-        sp.tracker.note_start(
-            job.spec.job_id, map_index, bcid, now, duration, nominal
-        )
         # maps_running is a count of *tasks*, not attempts: the wave barrier
         # must release exactly once whichever copy commits.
-        self._queue.push(
-            Event(
-                now + duration,
-                EventKind.MAP_DONE,
-                payload=(
-                    job.spec.job_id,
-                    bcid,
-                    map_index,
-                    now,
-                    self._attempt.get(bcid, 0),
-                ),
-            )
-        )
+        self._launch_attempt(now, job, bcid, map_index)
         sp.count("spec.launched")
         if self.provenance is not None:
             self.provenance.emit(
@@ -1937,18 +1825,6 @@ class MapReduceSimulator:
             if fid is not None:
                 flows.append(self._flow_objects[fid])
         return flows
-
-    def _greedy_backup_pick(self, candidates: list[int]) -> int:
-        """Baseline backup placement: the RM-style greedy re-grant (most
-        residual memory, then vcores, lowest id) restricted to candidates."""
-        best = candidates[0]
-        best_key: tuple[float, float] | None = None
-        for sid in candidates:
-            residual = self.cluster.residual(sid)
-            key = (residual.memory, residual.vcores)
-            if best_key is None or key > best_key:
-                best, best_key = sid, key
-        return best
 
     def _settle_speculation(
         self, now: float, job: _JobState, winner_cid: int
@@ -2022,35 +1898,25 @@ class MapReduceSimulator:
                 attempt=expected_attempt,
             )
 
-    def _cancel_backup(self, now: float, job: _JobState, bcid: int) -> None:
-        """The backup died with its server; the original runs on alone."""
+    def _drop_paired_attempt(self, job: _JobState, cid: int) -> None:
+        """One attempt of a speculation pair died with its server; the
+        survivor runs on as the task's sole attempt.  No retry budget is
+        charged: a lost backup is simply gone, and a lost original is
+        replaced by the backup speculation already paid for."""
         sp = self.speculation
         assert sp is not None
-        original = sp.primary_of[bcid]
-        sp.unpair(job.spec.job_id, original, bcid)
-        attempt = self._attempt.get(bcid, 0)
-        self._attempt[bcid] = attempt + 1
-        sp.note_kill(bcid, attempt)
-        sp.tracker.note_kill(bcid)
-        self.cluster.unplace(bcid)
-        sp.count("spec.backups_lost")
-
-    def _promote_backup(
-        self, now: float, job: _JobState, orig_cid: int
-    ) -> None:
-        """The original died with its server while its backup lives: the
-        backup becomes the task's sole first-class attempt (no retry budget
-        is charged — speculation already paid for the replacement)."""
-        sp = self.speculation
-        assert sp is not None
-        bcid = sp.backup_of[orig_cid]
-        sp.unpair(job.spec.job_id, orig_cid, bcid)
-        attempt = self._attempt.get(orig_cid, 0)
-        self._attempt[orig_cid] = attempt + 1
-        sp.note_kill(orig_cid, attempt)
-        sp.tracker.note_kill(orig_cid)
-        self.cluster.unplace(orig_cid)
-        sp.count("spec.promoted")
+        if cid in sp.primary_of:
+            sp.unpair(job.spec.job_id, sp.primary_of[cid], cid)
+            counter = "spec.backups_lost"
+        else:
+            sp.unpair(job.spec.job_id, cid, sp.backup_of[cid])
+            counter = "spec.promoted"
+        attempt = self._attempt.get(cid, 0)
+        self._attempt[cid] = attempt + 1
+        sp.note_kill(cid, attempt)
+        sp.tracker.note_kill(cid)
+        self.cluster.unplace(cid)
+        sp.count(counter)
 
     # ------------------------------------------------------------ reduce side
     def _on_reduce_done(

@@ -37,12 +37,6 @@ class ApplicationMaster:
     taskdict: TopologyAwareTaskDict | None = None
     app_id: int = -1
     granted: dict[str, GrantedContainer] = field(default_factory=dict)
-    #: Speculative backup grants, keyed like :attr:`granted` — at most one
-    #: backup per task may be outstanding.
-    backups: dict[str, GrantedContainer] = field(default_factory=dict)
-    #: Requests :meth:`acquire_available` could not satisfy yet; the RM holds
-    #: matching entries on its deferred queue and delivers grants later.
-    pending: list[ResourceRequest] = field(default_factory=list)
 
     def register(self) -> int:
         self.app_id = self.rm.register_application(self.job.name)
@@ -94,117 +88,7 @@ class ApplicationMaster:
             self.granted[str(request.task)] = grant
         return dict(self.granted)
 
-    def acquire_available(self) -> dict[str, GrantedContainer]:
-        """Overload-tolerant acquire: take what the RM can grant *now*.
-
-        Unlike :meth:`acquire_containers` this never raises on a full
-        cluster — unsatisfied requests land on the RM's deferred queue and
-        are mirrored in :attr:`pending`; the caller feeds later
-        ``rm.drain_deferred()`` grants back through
-        :meth:`record_deferred_grant`.  Returns the grants made so far.
-        """
-        if self.app_id < 0:
-            self.register()
-        requests = self.build_requests()
-        granted, deferred = self.rm.try_allocate(self.app_id, requests)
-        deferred_ids = {id(r) for r in deferred}
-        grants = iter(granted)
-        for request in requests:
-            if id(request) in deferred_ids:
-                self.pending.append(request)
-                continue
-            grant = next(grants)
-            assert request.task is not None
-            self.granted[str(request.task)] = grant
-        return dict(self.granted)
-
-    def record_deferred_grant(
-        self, request: ResourceRequest, grant: GrantedContainer
-    ) -> None:
-        """Record a grant the RM delivered from its deferred queue."""
-        assert request.task is not None
-        self.granted[str(request.task)] = grant
-        self.pending = [r for r in self.pending if r is not request]
-
-    @property
-    def fully_granted(self) -> bool:
-        """True once every task of the job holds a container."""
-        return not self.pending and len(self.granted) == (
-            self.job.num_maps + self.job.num_reduces
-        )
-
-    # ------------------------------------------------------------ speculation
-    def request_backup(self, task: TaskRef) -> GrantedContainer:
-        """Acquire one speculative container duplicating ``task``.
-
-        The original attempt must already hold a grant; the backup request
-        carries ``avoid_host`` so the RM cannot co-locate the duplicate with
-        the straggler it is meant to outrun.  At most one backup per task.
-        """
-        key = str(task)
-        original = self.granted.get(key)
-        if original is None:
-            raise KeyError(f"no running attempt for task {key}")
-        if key in self.backups:
-            raise ValueError(f"task {key} already has a backup attempt")
-        priority = (
-            _MAP_PRIORITY if task.kind is TaskKind.MAP else _REDUCE_PRIORITY
-        )
-        preferred = (
-            self.taskdict.preferred_host(task) if self.taskdict else None
-        )
-        if preferred is not None and preferred != original.hostname:
-            request: ResourceRequest = HitResourceRequest(
-                priority=priority,
-                capability=self.container_capability,
-                resource_name=preferred,
-                task=task,
-                speculative=True,
-                avoid_host=original.hostname,
-            )
-        else:
-            request = ResourceRequest(
-                priority=priority,
-                capability=self.container_capability,
-                resource_name=ANY_HOST,
-                task=task,
-                speculative=True,
-                avoid_host=original.hostname,
-            )
-        grant = self.rm.allocate(self.app_id, [request])[0]
-        self.backups[key] = grant
-        return grant
-
-    def commit_attempt(self, task: TaskRef, winner: GrantedContainer) -> None:
-        """First finisher wins: keep ``winner``'s grant, kill the loser.
-
-        ``winner`` must be one of the task's live attempts.  After the
-        commit the surviving grant is recorded as *the* attempt (so
-        :meth:`release_all` and shuffle consumers see a single container per
-        task) and the losing container is preempted at its NodeManager.
-        """
-        key = str(task)
-        original = self.granted.get(key)
-        backup = self.backups.pop(key, None)
-        if original is None:
-            raise KeyError(f"no running attempt for task {key}")
-        if winner.container_id == original.container_id:
-            loser = backup
-        elif backup is not None and winner.container_id == backup.container_id:
-            self.granted[key] = backup
-            self.rm.promote(backup)
-            loser = original
-        else:
-            raise ValueError(
-                f"container {winner.container_id} is not an attempt of {key}"
-            )
-        if loser is not None:
-            self.rm.kill(loser)
-
     def release_all(self) -> None:
         for grant in self.granted.values():
             self.rm.release(grant)
-        for grant in self.backups.values():
-            self.rm.release(grant)
         self.granted.clear()
-        self.backups.clear()

@@ -8,7 +8,7 @@ resources.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..cluster.resources import Resources
 
@@ -33,14 +33,6 @@ class NodeManager:
         self.capacity = capacity
         self._running: dict[int, LaunchedContainer] = {}
         self._used = Resources.zero()
-        #: Simulated timestamp of the node's last heartbeat.  The RM's
-        #: liveness sweep (:meth:`~repro.yarnsim.rm.ResourceManager.
-        #: expire_nodes`) declares the node lost once this lags past the
-        #: configured expiry — YARN's ``nm.liveness-monitor`` behaviour.
-        self.last_heartbeat: float = 0.0
-        #: Containers forcibly stopped on this node (speculation's
-        #: kill-loser orders), reported in heartbeats.
-        self.killed_count: int = 0
 
     @property
     def used(self) -> Resources:
@@ -71,40 +63,14 @@ class NodeManager:
         self._used = self._used - container.capability
         return container
 
-    def kill(self, container_id: int) -> LaunchedContainer:
-        """Forcibly stop a container — the losing attempt of a speculation
-        pair.  Same resource refund as :meth:`release`, but counted so the
-        heartbeat report exposes how many containers were preempted."""
-        container = self.release(container_id)
-        self.killed_count += 1
-        return container
-
-    def running_container(self, container_id: int) -> LaunchedContainer | None:
-        """The running container with this id, or None."""
-        return self._running.get(container_id)
-
-    def heartbeat(self, now: float | None = None) -> dict[str, object]:
-        """Node status report, as the RM would receive it.
-
-        Passing ``now`` stamps :attr:`last_heartbeat` (the liveness signal);
-        omitting it keeps the report side-effect free."""
-        if now is not None:
-            self.last_heartbeat = now
+    def heartbeat(self) -> dict[str, object]:
+        """Node status report, as the RM would receive it."""
         return {
             "hostname": self.hostname,
             "running": sorted(self._running),
             "used": self._used.as_tuple(),
             "available": self.available.as_tuple(),
-            "last_heartbeat": self.last_heartbeat,
-            "killed": self.killed_count,
         }
-
-    def drain(self) -> list[LaunchedContainer]:
-        """Release every running container at once (node declared lost)."""
-        lost = [self._running[cid] for cid in sorted(self._running)]
-        self._running.clear()
-        self._used = Resources.zero()
-        return lost
 
     def __len__(self) -> int:
         return len(self._running)

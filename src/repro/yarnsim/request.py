@@ -11,7 +11,7 @@ Hit optimisation populates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..cluster.container import TaskRef
 from ..cluster.resources import Resources
@@ -37,25 +37,12 @@ class ResourceRequest:
     resource_name: str = ANY_HOST
     relax_locality: bool = True
     task: TaskRef | None = None
-    #: Marks a speculative-execution backup attempt.  Speculative requests
-    #: compete at the same priority as the original attempt (YARN does not
-    #: distinguish them at grant time) but carry the flag so the RM's grant
-    #: accounting and tests can tell the two apart.
-    speculative: bool = False
-    #: A host the grant must *not* land on — the straggling attempt's node.
-    #: A backup co-located with the straggler would share its slowdown.
-    avoid_host: str | None = None
 
     def __post_init__(self) -> None:
         if self.num_containers < 1:
             raise ValueError("num_containers must be >= 1")
         if self.priority < 0:
             raise ValueError("priority must be >= 0")
-        if self.avoid_host is not None and self.avoid_host == self.resource_name:
-            raise ValueError(
-                f"request prefers and avoids the same host "
-                f"{self.resource_name!r}"
-            )
 
     @property
     def is_anywhere(self) -> bool:

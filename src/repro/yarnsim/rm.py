@@ -9,25 +9,16 @@ ApplicationMasters.  Placement policy:
   closest (fewest-switches) feasible node when ``relax_locality`` allows;
 * a plain wildcard request is granted heartbeat-round-robin, the Capacity
   Scheduler behaviour.
-
-Under an open-loop workload the all-or-error :meth:`ResourceManager.allocate`
-contract is too brittle — an overloaded cluster legitimately cannot grant
-everything at once.  :meth:`ResourceManager.try_allocate` grants what fits
-and parks the remainder on a FIFO deferred queue; callers later call
-:meth:`ResourceManager.drain_deferred` (e.g. after releases) to hand out the
-backlog in arrival order.  Strict FIFO keeps grants deterministic and
-starvation-free: the head blocks the queue until it fits.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from ..cluster.resources import Resources
 from ..topology.base import Topology
 from .nm import LaunchedContainer, NodeManager
-from .request import ANY_HOST, HitResourceRequest, ResourceRequest
+from .request import HitResourceRequest, ResourceRequest
 
 __all__ = ["GrantedContainer", "ResourceManager"]
 
@@ -45,14 +36,8 @@ class GrantedContainer:
 class ResourceManager:
     """Cluster-wide resource arbiter with pluggable request semantics."""
 
-    def __init__(
-        self, topology: Topology, heartbeat_expiry: float | None = None
-    ) -> None:
+    def __init__(self, topology: Topology) -> None:
         self.topology = topology
-        #: A node whose last heartbeat lags ``now`` by more than this is
-        #: declared lost by :meth:`expire_nodes` (None disables liveness
-        #: tracking entirely — the pre-fault behaviour).
-        self.heartbeat_expiry = heartbeat_expiry
         self.nodes: dict[str, NodeManager] = {}
         for server in topology.servers():
             self.nodes[server.name] = NodeManager(
@@ -60,19 +45,11 @@ class ResourceManager:
                 hostname=server.name,
                 capacity=Resources.from_tuple(server.resource_capacity),
             )
-        self._lost: set[str] = set()
         self._heartbeat_order = sorted(self.nodes)
         self._cursor = 0
         self._next_container_id = 0
         self._applications: dict[int, str] = {}
         self._next_app_id = 0
-        #: Container ids granted against speculative (backup) requests, kept
-        #: until the container is released or killed — the RM-side ledger
-        #: behind :meth:`speculative_load`.
-        self._speculative: set[int] = set()
-        #: FIFO backlog of (app_id, request) pairs :meth:`try_allocate`
-        #: could not satisfy immediately; drained by :meth:`drain_deferred`.
-        self._deferred: deque[tuple[int, ResourceRequest]] = deque()
 
     # ----------------------------------------------------------- applications
     def register_application(self, name: str) -> int:
@@ -103,85 +80,13 @@ class ResourceManager:
                 granted.append(self._grant_one(request))
         return granted
 
-    def try_allocate(
-        self, app_id: int, requests: list[ResourceRequest]
-    ) -> tuple[list[GrantedContainer], list[ResourceRequest]]:
-        """Grant what fits now, defer the rest (overload-tolerant allocate).
-
-        Returns ``(granted, deferred)``.  Deferred requests are queued FIFO
-        internally (one entry per *container*, so multi-container requests
-        split); :meth:`drain_deferred` retries them later.  Unlike
-        :meth:`allocate`, an unsatisfiable request here is not an error —
-        under an open-loop workload it is the normal overloaded state.
-        """
-        if app_id not in self._applications:
-            raise KeyError(f"unknown application {app_id}")
-        granted: list[GrantedContainer] = []
-        deferred: list[ResourceRequest] = []
-        for request in requests:
-            for _ in range(request.num_containers):
-                grant = self._try_grant_one(request)
-                if grant is None:
-                    deferred.append(request)
-                    self._deferred.append((app_id, request))
-                else:
-                    granted.append(grant)
-        return granted, deferred
-
-    def drain_deferred(
-        self,
-    ) -> list[tuple[int, ResourceRequest, GrantedContainer]]:
-        """Grant deferred requests in strict FIFO order.
-
-        Stops at the first request that still does not fit (head-of-line
-        blocking is deliberate: it keeps the order deterministic and no
-        request can be starved by later, smaller ones).  Returns the
-        ``(app_id, request, grant)`` triples handed out this round.
-        """
-        drained: list[tuple[int, ResourceRequest, GrantedContainer]] = []
-        while self._deferred:
-            app_id, request = self._deferred[0]
-            grant = self._try_grant_one(request)
-            if grant is None:
-                break
-            self._deferred.popleft()
-            drained.append((app_id, request, grant))
-        return drained
-
-    def deferred_count(self) -> int:
-        """Containers currently waiting on the deferred-grant queue."""
-        return len(self._deferred)
-
-    def occupancy(self) -> float:
-        """Fraction of live-node memory currently held by containers.
-
-        The RM-side analogue of ``ClusterState.occupancy`` — the load signal
-        an admission layer reads to decide backpressure.  1.0 when every
-        node is lost (a dead cluster is a fully loaded cluster).
-        """
-        total = used = 0.0
-        for node in self.nodes.values():
-            if node.hostname in self._lost:
-                continue
-            total += node.capacity.memory
-            used += node.capacity.memory - node.available.memory
-        if total <= 0:
-            return 1.0
-        return min(1.0, used / total)
-
     def _grant_one(self, request: ResourceRequest) -> GrantedContainer:
-        grant = self._try_grant_one(request)
-        if grant is None:
+        node = self._select_node(request)
+        if node is None:
             raise RuntimeError(
                 f"no node can satisfy request {request.resource_name!r} "
                 f"({request.capability})"
             )
-        return grant
-
-    def _try_grant_one(self, request: ResourceRequest) -> GrantedContainer | None:
-        node = self._select_node(request)
-        if node is None:
-            return None
         cid = self._next_container_id
         self._next_container_id += 1
         node.launch(
@@ -191,8 +96,6 @@ class ResourceManager:
                 task=str(request.task) if request.task else None,
             )
         )
-        if request.speculative:
-            self._speculative.add(cid)
         return GrantedContainer(
             container_id=cid,
             hostname=node.hostname,
@@ -201,161 +104,46 @@ class ResourceManager:
         )
 
     def _select_node(self, request: ResourceRequest) -> NodeManager | None:
-        avoid = request.avoid_host
         if isinstance(request, HitResourceRequest) or not request.is_anywhere:
             preferred = self.nodes.get(request.resource_name)
             if preferred is None:
                 raise KeyError(f"unknown host {request.resource_name!r}")
-            if (
-                preferred.hostname not in self._lost
-                and preferred.hostname != avoid
-                and preferred.can_launch(request.capability)
-            ):
+            if preferred.can_launch(request.capability):
                 return preferred
             if not request.relax_locality:
                 return None
-            return self._closest_feasible(preferred, request.capability, avoid)
-        return self._round_robin(request.capability, avoid)
+            return self._closest_feasible(preferred, request.capability)
+        return self._round_robin(request.capability)
 
-    def _round_robin(
-        self, capability: Resources, avoid: str | None = None
-    ) -> NodeManager | None:
+    def _round_robin(self, capability: Resources) -> NodeManager | None:
         n = len(self._heartbeat_order)
         for offset in range(n):
-            hostname = self._heartbeat_order[(self._cursor + offset) % n]
-            if hostname in self._lost or hostname == avoid:
-                continue
-            node = self.nodes[hostname]
+            node = self.nodes[self._heartbeat_order[(self._cursor + offset) % n]]
             if node.can_launch(capability):
                 self._cursor = (self._cursor + offset + 1) % n
                 return node
         return None
 
     def _closest_feasible(
-        self,
-        preferred: NodeManager,
-        capability: Resources,
-        avoid: str | None = None,
+        self, preferred: NodeManager, capability: Resources
     ) -> NodeManager | None:
         """Fallback for a full preferred host: nearest node in switch hops."""
         dist = self.topology.hop_distances_from(preferred.server_id)
         candidates = [
             node
             for node in self.nodes.values()
-            if node is not preferred
-            and node.hostname not in self._lost
-            and node.hostname != avoid
-            and node.can_launch(capability)
+            if node is not preferred and node.can_launch(capability)
         ]
         if not candidates:
             return None
         return min(candidates, key=lambda n: (dist[n.server_id], n.hostname))
 
-    # -------------------------------------------------------------- liveness
-    @property
-    def lost_nodes(self) -> frozenset[str]:
-        """Hostnames currently declared lost."""
-        return frozenset(self._lost)
-
-    def record_heartbeat(self, hostname: str, now: float) -> dict[str, object]:
-        """Process one node heartbeat; a lost node that heartbeats again
-        rejoins the cluster (empty — its containers were already drained)."""
-        node = self.nodes[hostname]
-        status = node.heartbeat(now)
-        self._lost.discard(hostname)
-        return status
-
-    def expire_nodes(self, now: float) -> list[GrantedContainer]:
-        """Declare every over-expiry node lost and return its dead grants.
-
-        Mirrors YARN's NM liveness monitor: a node that missed heartbeats
-        for longer than ``heartbeat_expiry`` is drained, its containers are
-        reported back to the caller (the ApplicationMaster's completed-
-        container list with a failure exit status), and no further grants
-        land on it until it heartbeats again.  Callers typically pass the
-        result to :meth:`regrant`.
-        """
-        if self.heartbeat_expiry is None:
-            return []
-        dead: list[GrantedContainer] = []
-        for hostname in self._heartbeat_order:
-            if hostname in self._lost:
-                continue
-            node = self.nodes[hostname]
-            if now - node.last_heartbeat <= self.heartbeat_expiry:
-                continue
-            self._lost.add(hostname)
-            for lost in node.drain():
-                dead.append(
-                    GrantedContainer(
-                        container_id=lost.container_id,
-                        hostname=hostname,
-                        server_id=node.server_id,
-                        capability=lost.capability,
-                    )
-                )
-        return dead
-
-    def regrant(self, dead: list[GrantedContainer]) -> list[GrantedContainer]:
-        """Re-grant replacements for dead containers on live nodes
-        (round-robin, fresh container ids).  Raises ``RuntimeError`` when the
-        surviving cluster cannot absorb a replacement."""
-        replacements: list[GrantedContainer] = []
-        for grant in dead:
-            node = self._round_robin(grant.capability)
-            if node is None:
-                raise RuntimeError(
-                    f"no live node can re-grant container "
-                    f"{grant.container_id} ({grant.capability})"
-                )
-            cid = self._next_container_id
-            self._next_container_id += 1
-            node.launch(
-                LaunchedContainer(container_id=cid, capability=grant.capability)
-            )
-            replacements.append(
-                GrantedContainer(
-                    container_id=cid,
-                    hostname=node.hostname,
-                    server_id=node.server_id,
-                    capability=grant.capability,
-                )
-            )
-        return replacements
-
     # ------------------------------------------------------------------ misc
     def release(self, granted: GrantedContainer) -> None:
         self.nodes[granted.hostname].release(granted.container_id)
-        self._speculative.discard(granted.container_id)
-
-    def kill(self, granted: GrantedContainer) -> None:
-        """Forcibly stop a container (speculation's kill-loser order).
-
-        Resource-wise identical to :meth:`release`; the NodeManager records
-        the kill separately so its status reports distinguish preempted
-        containers from graceful completions."""
-        self.nodes[granted.hostname].kill(granted.container_id)
-        self._speculative.discard(granted.container_id)
-
-    def promote(self, granted: GrantedContainer) -> None:
-        """Strike a backup from the speculative ledger: it won its race and
-        is now the task's committed attempt."""
-        self._speculative.discard(granted.container_id)
-
-    def speculative_load(self) -> Resources:
-        """Resources currently held by speculative (backup) containers."""
-        total = Resources.zero()
-        for node in self.nodes.values():
-            for cid in self._speculative:
-                container = node.running_container(cid)
-                if container is not None:
-                    total = total + container.capability
-        return total
 
     def cluster_available(self) -> Resources:
         total = Resources.zero()
         for node in self.nodes.values():
-            if node.hostname in self._lost:
-                continue
             total = total + node.available
         return total

@@ -94,6 +94,32 @@ class TestServerFailure:
         # Every map is eventually recorded done at least once.
         assert metrics.task_durations("map").size >= 4
 
+    def test_reducer_restart_does_not_rekill_its_completed_map(self, topo):
+        """Regression: the failed server hosts a reducer and a completed map
+        of the same job while the map wave is still running.  Restarting
+        the reducer re-executes the map whose output it had fetched locally;
+        the map must not then be killed a second time as a running task
+        (which raised ``container N is not placed``)."""
+        baseline = run_simulation(topo, make_scheduler("hit"), jobs_one())
+        maps = [t for t in baseline.tasks if t.kind == "map"]
+        last = max(t.finish for t in maps)
+        reduce_servers = {t.server for t in baseline.tasks if t.kind == "reduce"}
+        early = min(
+            (t for t in maps if t.server in reduce_servers and t.finish < last),
+            key=lambda t: (t.finish, t.server),
+        )
+        t_fail = (early.finish + last) / 2
+        faults = [
+            FaultSpec(t_fail, FaultKind.SERVER_FAIL, early.server),
+            FaultSpec(t_fail + 1.0, FaultKind.SERVER_RECOVER, early.server),
+        ]
+        sim, metrics = run_with_faults(topo, faults, scheduler="hit")
+        assert len(metrics.jobs) == 1
+        assert metrics.task_durations("reduce").size == 2
+        counters = sim.faults.summary()
+        assert counters["retries.reduce"] >= 1
+        assert counters["retries.map"] >= 1
+
     def test_retry_budget_exhaustion_aborts(self, topo):
         baseline = run_simulation(topo, make_scheduler("capacity"), jobs_one())
         first_start, first_finish, _ = map_window(baseline)

@@ -23,6 +23,19 @@ class TestNullTracer:
     def test_singleton_shared(self):
         assert NULL_TRACER.enabled is False
 
+    def test_timers_share_one_noop_context(self):
+        """Disabled timers allocate nothing: every call hands back the same
+        context object, which stays reusable, nestable and lets
+        exceptions through."""
+        t = NullTracer()
+        assert t.timeit("x") is NullTracer().timeit("y")
+        assert t.span("x", a=1) is t.timeit("x")
+        with t.timeit("outer"), t.timeit("inner"):
+            pass
+        with pytest.raises(KeyError):
+            with t.timeit("x"):
+                raise KeyError("propagates")
+
 
 class TestCountersAndTimers:
     def test_counters_accumulate(self):

@@ -25,7 +25,7 @@ ZOO = (
 )
 
 
-def small_run(scheduler_name: str):
+def small_run(scheduler_name: str, **config):
     topology = build_tree(
         TreeConfig(depth=2, fanout=4, redundancy=2, server_resources=(2.0,))
     )
@@ -36,7 +36,7 @@ def small_run(scheduler_name: str):
         topology,
         make_scheduler(scheduler_name, seed=3),
         jobs,
-        SimulationConfig(seed=3),
+        SimulationConfig(seed=3, **config),
     )
 
 
@@ -67,6 +67,19 @@ def test_tracer_counters_cover_all_subsystems():
     assert any(name.startswith("sim.event.") for name in counters)
     assert tracer.timers["sim.dispatch"].calls > 0
     assert tracer.timers["alg1.optimal_path"].calls > 0
+
+
+def test_saturated_fabric_counts_alg1_fallbacks():
+    """Shuffle rates far above switch capacity send Algorithm 1 down its
+    slack-extended retry and out through the no-feasible-path exit (the
+    engine then installs the uncapacitated route)."""
+    tracer = Tracer()
+    with observe(tracer=tracer):
+        metrics = small_run("hit", rate_epoch=1e-2)
+    assert len(metrics.jobs) == 3
+    counters = tracer.counters
+    assert counters.get("alg1.slack_fallback", 0) > 0
+    assert counters.get("alg1.no_feasible_path", 0) > 0
 
 
 def test_disabled_state_runs_untracked():

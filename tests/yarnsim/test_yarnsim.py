@@ -147,84 +147,6 @@ class TestResourceManager:
         assert rm.cluster_available() == before
 
 
-class TestLiveness:
-    """NM heartbeat liveness and the RM's lost-node / re-grant protocol."""
-
-    def test_heartbeat_stamps_timestamp(self):
-        nm = NodeManager(0, "s0", Resources(2, 0))
-        assert nm.last_heartbeat == 0.0
-        nm.heartbeat(3.5)
-        assert nm.last_heartbeat == 3.5
-        # Omitting ``now`` keeps the report side-effect free.
-        report = nm.heartbeat()
-        assert report["last_heartbeat"] == 3.5
-
-    def test_drain_releases_everything(self):
-        nm = NodeManager(0, "s0", Resources(4, 0))
-        nm.launch(LaunchedContainer(1, Resources(1, 0)))
-        nm.launch(LaunchedContainer(0, Resources(2, 0)))
-        lost = nm.drain()
-        assert [c.container_id for c in lost] == [0, 1]
-        assert nm.used.is_zero and len(nm) == 0
-
-    def test_expiry_disabled_by_default(self, rm):
-        assert rm.expire_nodes(now=1e9) == []
-        assert rm.lost_nodes == frozenset()
-
-    def test_expire_and_rejoin(self, small_tree):
-        rm = ResourceManager(small_tree, heartbeat_expiry=1.0)
-        app = rm.register_application("job")
-        (grant,) = rm.allocate(app, [
-            ResourceRequest(priority=1, capability=Resources(1, 0))
-        ])
-        for hostname in rm.nodes:
-            if hostname != grant.hostname:
-                rm.record_heartbeat(hostname, now=5.0)
-        dead = rm.expire_nodes(now=5.0)
-        assert [g.container_id for g in dead] == [grant.container_id]
-        assert rm.lost_nodes == frozenset({grant.hostname})
-        assert rm.nodes[grant.hostname].used.is_zero
-        # A heartbeat brings the node back (empty, ready for grants).
-        rm.record_heartbeat(grant.hostname, now=6.0)
-        assert rm.lost_nodes == frozenset()
-
-    def test_lost_node_receives_no_grants(self, small_tree):
-        rm = ResourceManager(small_tree, heartbeat_expiry=1.0)
-        victim = sorted(rm.nodes)[0]
-        for hostname in rm.nodes:
-            if hostname != victim:
-                rm.record_heartbeat(hostname, now=5.0)
-        rm.expire_nodes(now=5.0)
-        app = rm.register_application("job")
-        # Wildcard round-robin skips the lost node ...
-        grants = rm.allocate(app, [
-            ResourceRequest(priority=1, capability=Resources(1, 0),
-                            num_containers=4)
-        ])
-        assert victim not in {g.hostname for g in grants}
-        # ... and so does a Hit request preferring it (relaxed locality).
-        (grant,) = rm.allocate(app, [
-            HitResourceRequest(priority=1, capability=Resources(1, 0),
-                               resource_name=victim)
-        ])
-        assert grant.hostname != victim
-
-    def test_regrant_replaces_dead_containers(self, small_tree):
-        rm = ResourceManager(small_tree, heartbeat_expiry=1.0)
-        app = rm.register_application("job")
-        (grant,) = rm.allocate(app, [
-            ResourceRequest(priority=1, capability=Resources(1, 0))
-        ])
-        for hostname in rm.nodes:
-            if hostname != grant.hostname:
-                rm.record_heartbeat(hostname, now=5.0)
-        dead = rm.expire_nodes(now=5.0)
-        (replacement,) = rm.regrant(dead)
-        assert replacement.container_id != grant.container_id
-        assert replacement.hostname != grant.hostname
-        assert replacement.capability == grant.capability
-
-
 class TestTaskDict:
     def test_from_placement(self, small_tree):
         taa, map_ids, reduce_ids = make_taa(small_tree)
