@@ -2,13 +2,15 @@
 
 The routing/preference hot path (`PolicyController._dag_best_path`, the
 pair-cost cache, `build_preference_matrix`) is implemented with NumPy array
-kernels; this module preserves the original per-pair / per-node scalar
+kernels, and slack-path enumeration with an iterative generator; this module
+preserves the original per-pair / per-node scalar and recursive
 implementations verbatim.  They are **not** used by the library at runtime —
 they exist so that
 
-* the equivalence suite (``tests/core/test_vector_equivalence.py``) can
-  assert the vectorised kernels produce identical paths, costs and matchings
-  on randomized instances, and
+* the equivalence suites (``tests/core/test_vector_equivalence.py``,
+  ``tests/topology/test_path_enumeration.py``) can assert the shipped
+  kernels produce identical paths, costs and matchings on randomized
+  instances, and
 * ``benchmarks/bench_perf_hotpath.py`` can time the pre-vectorisation code
   against the shipped kernels and record both numbers.
 
@@ -22,7 +24,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..topology.routing import enumerate_paths, shortest_path_stages
+from ..topology.base import UNREACHABLE, Topology
+from ..topology.routing import shortest_path_stages
 from .policy import NoFeasiblePathError
 from .preference import PreferenceMatrix
 
@@ -31,6 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from .taa import TAAInstance
 
 __all__ = [
+    "enumerate_paths_scalar",
     "dag_best_path_scalar",
     "optimal_path_scalar",
     "ScalarPairCostCache",
@@ -38,6 +42,59 @@ __all__ = [
 ]
 
 _INF = float("inf")
+
+
+def enumerate_paths_scalar(
+    topology: Topology,
+    src: int,
+    dst: int,
+    slack: int = 0,
+    limit: int = 10_000,
+) -> list[tuple[int, ...]]:
+    """The original recursive, list-building counterpart of
+    :func:`repro.topology.routing.enumerate_paths`.
+
+    Enumeration is a depth-first search pruned with the distance-to-target
+    labels, so the search only ever expands prefixes that can still finish
+    within budget.  ``limit`` caps the number of returned paths (a fat-tree
+    pair can have hundreds); paths are produced in lexicographic neighbour
+    order so the output is deterministic.
+    """
+    if slack < 0:
+        raise ValueError("slack must be >= 0")
+    if src == dst:
+        return [(src,)]
+    dist_dst = topology.hop_distances_from(dst)
+    if dist_dst[src] == UNREACHABLE:
+        raise ValueError(f"no path between {src} and {dst}")
+    budget = int(dist_dst[src]) + slack
+
+    paths: list[tuple[int, ...]] = []
+    prefix: list[int] = [src]
+    on_path = {src}
+
+    def dfs(node: int, remaining: int) -> None:
+        if len(paths) >= limit:
+            return
+        for neigh in topology.neighbors(node):
+            if neigh in on_path:
+                continue
+            if neigh == dst:
+                paths.append(tuple(prefix) + (dst,))
+                if len(paths) >= limit:
+                    return
+                continue
+            needed = dist_dst[neigh]
+            if needed == UNREACHABLE or needed > remaining - 1:
+                continue
+            prefix.append(neigh)
+            on_path.add(neigh)
+            dfs(neigh, remaining - 1)
+            prefix.pop()
+            on_path.remove(neigh)
+
+    dfs(src, budget)
+    return paths
 
 
 def dag_best_path_scalar(
@@ -118,7 +175,7 @@ def optimal_path_scalar(
         for slack in range(1, controller.max_slack + 1):
             best: tuple[int, ...] | None = None
             best_cost = _INF
-            for candidate in enumerate_paths(
+            for candidate in enumerate_paths_scalar(
                 controller.topology, src_server, dst_server, slack=slack,
                 limit=512,
             ):

@@ -42,6 +42,7 @@ Execution model (simplifications are noted in DESIGN.md):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -66,7 +67,7 @@ from ..schedulers.base import Scheduler, SchedulingContext
 from ..speculation.detector import AttemptProgress, SpeculationConfig
 from ..speculation.runtime import SpeculationState
 from ..topology.base import Topology
-from ..topology.routing import invalidate_topology_caches
+from ..topology.routing import invalidate_topology_caches, iter_paths
 from ..workload.admission import AdmissionConfig, AdmissionController
 from .events import Event, EventKind, EventQueue
 from .metrics import (
@@ -526,13 +527,12 @@ class MapReduceSimulator:
 
         live = [self._flow_objects[fid] for fid in active_ids]
         rebalance_flows(self.controller, live, config)
+        by_id = {f.flow_id: f for f in self.network.active_flows}
         for fid in active_ids:
             policy = self.controller.policy_of(fid)
             if policy is None:
                 continue
-            current = next(
-                f for f in self.network.active_flows if f.flow_id == fid
-            )
+            current = by_id[fid]
             if policy.path != current.path:
                 self.network.reroute_flow(fid, policy.path)
 
@@ -1104,7 +1104,7 @@ class MapReduceSimulator:
             from ..topology.routing import enumerate_paths
 
             if faulty:
-                candidates = self._alive_paths(src, dst)
+                candidates = list(self._alive_paths(src, dst))
                 if not candidates:
                     return None, "no-path", {}
             else:
@@ -1117,14 +1117,16 @@ class MapReduceSimulator:
                 {"candidates": len(candidates), "drawn": drawn},
             )
         if faulty:
-            candidates = self._alive_paths(src, dst)
-            if not candidates:
+            alive = self._alive_paths(src, dst)
+            path = next(alive, None)
+            if path is None:
                 return None, "no-path", {}
-            return (
-                candidates[0],
-                self.scheduler.route_reason,
-                {"candidates": len(candidates)},
+            # Only the audit log needs the rest of the level counted.
+            detail = (
+                {} if self.provenance is None
+                else {"candidates": 1 + sum(1 for _ in alive)}
             )
+            return path, self.scheduler.route_reason, detail
         return (
             self.topology.shortest_path(src, dst),
             self.scheduler.route_reason,
@@ -1139,13 +1141,20 @@ class MapReduceSimulator:
 
     def _alive_paths(
         self, src: int, dst: int, max_slack: int = 4
-    ) -> list[tuple[int, ...]]:
-        """Shortest live paths for the non-policy baselines under failures:
-        the first slack level whose equal-cost set contains a path avoiding
-        every failed switch and dead link (graceful degradation — any
-        feasible path)."""
-        from ..topology.routing import enumerate_paths
+    ) -> Iterator[tuple[int, ...]]:
+        """Live paths for the non-policy baselines under failures (graceful
+        degradation — any feasible path).
 
+        Slack levels are tried in order, 0 to ``max_slack``.  At each level
+        only the paths ``enumerate_paths(..., limit=64)`` lists are
+        considered (the first 64, plus the few its limit lets through), and
+        those crossing a failed switch or dead link are dropped; the first
+        level with a survivor yields its survivors in enumeration order and
+        ends the walk.  A level whose considered paths are all dead falls
+        through to the next even if a later path of that level is live.
+        Lazy: a caller that takes only the first path stops enumerating
+        there.
+        """
         assert self.faults is not None
         failed = self.faults.failed_switches
         dead = self.faults.dead_links
@@ -1160,16 +1169,13 @@ class MapReduceSimulator:
             return True
 
         for slack in range(max_slack + 1):
-            alive = [
-                p
-                for p in enumerate_paths(
-                    self.topology, src, dst, slack=slack, limit=64
-                )
-                if alive_path(p)
-            ]
-            if alive:
-                return alive
-        return []
+            found = False
+            for p in iter_paths(self.topology, src, dst, slack, limit=64):
+                if alive_path(p):
+                    found = True
+                    yield p
+            if found:
+                return
 
     # ------------------------------------------------------------ fault layer
     # Everything below runs only when a fault timeline is configured.  The
@@ -1325,7 +1331,7 @@ class MapReduceSimulator:
             invalidate_topology_caches(self.topology)
             self._reroute_or_park(
                 now,
-                lambda path: any(
+                lambda path: u in path and v in path and any(
                     ((a, b) if a <= b else (b, a)) == key
                     for a, b in zip(path, path[1:])
                 ),

@@ -13,6 +13,7 @@ from .routing import (
     bfs_layers,
     count_shortest_paths,
     enumerate_paths,
+    iter_paths,
     path_is_valid,
     shortest_path_stages,
     single_source_unit_costs,
@@ -40,6 +41,7 @@ __all__ = [
     "stage_adjacency",
     "bfs_layers",
     "single_source_unit_costs",
+    "iter_paths",
     "enumerate_paths",
     "count_shortest_paths",
     "path_is_valid",

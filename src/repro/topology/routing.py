@@ -10,15 +10,16 @@ endpoints.  This module computes that structure:
 
 * :func:`shortest_path_stages` — for a node pair, the list of candidate node
   sets per hop index (the layered graph Algorithm 1's DP runs over);
-* :func:`enumerate_paths` — explicit enumeration of equal-cost (optionally
-  slack-extended) paths, used by the exact solver and by tests as ground
+* :func:`iter_paths` / :func:`enumerate_paths` — explicit, lazy or listed,
+  enumeration of equal-cost (optionally slack-extended) paths, used by the
+  baselines' failure routing, Alg-1's slack fallback and tests as ground
   truth.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -54,6 +55,7 @@ __all__ = [
     "stage_adjacency",
     "bfs_layers",
     "single_source_unit_costs",
+    "iter_paths",
     "enumerate_paths",
     "count_shortest_paths",
     "invalidate_topology_caches",
@@ -65,8 +67,9 @@ def invalidate_topology_caches(topology: Topology) -> None:
 
     The stage/layer caches are purely structural (which nodes lie on which
     shortest paths) and the topology graph itself is immutable, so in normal
-    operation they never go stale.  The fault-injection layer still calls
-    this on switch failure/recovery: availability is masked dynamically in
+    operation they never go stale.  The simulator still calls this on every
+    switch fail/recover and on every link fail/recover (a link degraded to
+    zero capacity counts as failed): availability is masked dynamically in
     the policy DP, but explicitly dropping the memos keeps the contract
     simple ("after a fabric-state change, no routing memo survives") and
     bounds memory on long fault timelines.  Safe to call at any time — the
@@ -204,6 +207,82 @@ def single_source_unit_costs(
     return best
 
 
+def iter_paths(
+    topology: Topology,
+    src: int,
+    dst: int,
+    slack: int = 0,
+    limit: int | None = None,
+) -> Iterator[tuple[int, ...]]:
+    """Lazily yield the paths :func:`enumerate_paths` lists, in its order.
+
+    The walk is an iterative depth-first search in lexicographic neighbour
+    order, pruned with the distance-to-target labels so it only ever expands
+    prefixes that can still finish within budget.  Callers that need only
+    the first few paths (the first live one, say) stop early and pay for
+    nothing further.  ``limit=None`` walks every path; otherwise see
+    :func:`enumerate_paths` for how the limit truncates.  Argument errors
+    (negative slack, disconnected endpoints) raise at call time, not on the
+    first ``next()``.
+    """
+    if slack < 0:
+        raise ValueError("slack must be >= 0")
+    if src == dst:
+        return iter([(src,)])
+    dist_dst = topology.hop_distances_from(dst).tolist()
+    if dist_dst[src] == UNREACHABLE:
+        raise ValueError(f"no path between {src} and {dst}")
+    if limit is not None and limit <= 0:
+        return iter(())
+    return _walk_paths(topology.neighbors, dist_dst, src, dst,
+                       dist_dst[src] + slack, limit)
+
+
+def _walk_paths(
+    neighbors: Callable[[int], tuple[int, ...]],
+    dist_dst: list[int],
+    src: int,
+    dst: int,
+    budget: int,
+    limit: int | None,
+) -> Iterator[tuple[int, ...]]:
+    """The DFS behind :func:`iter_paths`: ``stack[i]`` iterates the
+    neighbours of ``prefix[i]``; ``remaining`` is the hop budget left at the
+    prefix's tip."""
+    prefix = [src]
+    on_path = {src}
+    stack = [iter(neighbors(src))]
+    remaining = budget
+    found = 0
+    while stack:
+        for neigh in stack[-1]:
+            if neigh in on_path:
+                continue
+            if neigh == dst:
+                yield (*prefix, dst)
+                found += 1
+                if found == limit:
+                    # Unwind: each enclosing prefix still takes its direct
+                    # hop to dst when that hop is later in neighbour order.
+                    for depth in range(len(stack) - 2, -1, -1):
+                        if dst in stack[depth]:
+                            yield (*prefix[: depth + 1], dst)
+                    return
+                continue
+            needed = dist_dst[neigh]
+            if needed == UNREACHABLE or needed >= remaining:
+                continue
+            prefix.append(neigh)
+            on_path.add(neigh)
+            stack.append(iter(neighbors(neigh)))
+            remaining -= 1
+            break
+        else:
+            stack.pop()
+            on_path.remove(prefix.pop())
+            remaining += 1
+
+
 def enumerate_paths(
     topology: Topology,
     src: int,
@@ -213,47 +292,15 @@ def enumerate_paths(
 ) -> list[tuple[int, ...]]:
     """All simple paths from ``src`` to ``dst`` of length ≤ shortest + slack.
 
-    Enumeration is a depth-first search pruned with the distance-to-target
-    labels, so the search only ever expands prefixes that can still finish
-    within budget.  ``limit`` caps the number of returned paths (a fat-tree
-    pair can have hundreds); paths are produced in lexicographic neighbour
-    order so the output is deterministic.
+    Paths come in lexicographic neighbour order, so the output is
+    deterministic.  ``limit`` caps the enumeration (a fat-tree pair can have
+    hundreds of paths) the way the original recursive search did: once the
+    ``limit``-th path is found, each prefix on the way back up still
+    contributes its direct hop to ``dst`` if that hop comes later in its
+    neighbour order, so a truncated list can run a few paths past
+    ``limit``.
     """
-    if slack < 0:
-        raise ValueError("slack must be >= 0")
-    if src == dst:
-        return [(src,)]
-    dist_dst = topology.hop_distances_from(dst)
-    if dist_dst[src] == UNREACHABLE:
-        raise ValueError(f"no path between {src} and {dst}")
-    budget = int(dist_dst[src]) + slack
-
-    paths: list[tuple[int, ...]] = []
-    prefix: list[int] = [src]
-    on_path = {src}
-
-    def dfs(node: int, remaining: int) -> None:
-        if len(paths) >= limit:
-            return
-        for neigh in topology.neighbors(node):
-            if neigh in on_path:
-                continue
-            if neigh == dst:
-                paths.append(tuple(prefix) + (dst,))
-                if len(paths) >= limit:
-                    return
-                continue
-            needed = dist_dst[neigh]
-            if needed == UNREACHABLE or needed > remaining - 1:
-                continue
-            prefix.append(neigh)
-            on_path.add(neigh)
-            dfs(neigh, remaining - 1)
-            prefix.pop()
-            on_path.remove(neigh)
-
-    dfs(src, budget)
-    return paths
+    return list(iter_paths(topology, src, dst, slack, limit))
 
 
 def count_shortest_paths(topology: Topology, src: int, dst: int) -> int:
