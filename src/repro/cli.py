@@ -544,54 +544,33 @@ def cmd_online(args: argparse.Namespace) -> int:
     from .analysis.report import canonical_json
     from .experiments.online import (
         ONLINE_TOPOLOGIES,
-        build_arrival_plan,
-        online_fingerprint,
+        build_online_simulator,
+        online_outcome,
     )
-    from .faults.chaos import WatchdogSimulator
-    from .obs import observe
+    from .obs import ProvenanceConfig, observe
     from .simulator import SimulationConfig
-    from .workload import AdmissionConfig, generate_arrivals
 
-    plan = build_arrival_plan(
-        ONLINE_TOPOLOGIES[args.topology](),
-        multiplier=args.arrival_rate,
-        tenants=args.tenants,
-        profile=args.profile,
-        duration=args.duration,
-    )
-    admission = AdmissionConfig(
-        policy=args.admission,
-        queue_bound=(
-            args.queue_bound if args.admission == "queue-bound" else None
-        ),
-    )
-    config = SimulationConfig(
-        map_slots_per_job=16, seed=args.seed, admission=admission
-    )
+    provenance = None
     if args.provenance:
-        import dataclasses
-
-        from .obs import ProvenanceConfig
-
         provenance_dir = Path(args.provenance)
         provenance_dir.mkdir(parents=True, exist_ok=True)
-        config = dataclasses.replace(
-            config,
-            provenance=ProvenanceConfig(
-                path=str(
-                    provenance_dir / f"decisions.{args.scheduler}.jsonl"
-                ),
-            ),
+        provenance = ProvenanceConfig(
+            path=str(provenance_dir / f"decisions.{args.scheduler}.jsonl"),
         )
     checker, tracer = _make_observability(args)
     try:
         with observe(checker=checker, tracer=tracer):
-            jobs = generate_arrivals(plan, seed=args.seed)
-            simulator = WatchdogSimulator(
-                ONLINE_TOPOLOGIES[args.topology](),
+            simulator, jobs = build_online_simulator(
+                ONLINE_TOPOLOGIES[args.topology],
                 make_scheduler(args.scheduler, seed=args.seed),
-                jobs,
-                config,
+                SimulationConfig(map_slots_per_job=16, provenance=provenance),
+                seed=args.seed,
+                multiplier=args.arrival_rate,
+                tenants=args.tenants,
+                profile=args.profile,
+                policy=args.admission,
+                queue_bound=args.queue_bound,
+                duration=args.duration,
                 stall_limit=args.stall_limit,
             )
             metrics = simulator.run()
@@ -605,9 +584,7 @@ def cmd_online(args: argparse.Namespace) -> int:
             f"decisions: {prov.emitted} emitted -> {prov.path} "
             f"[sha256 {prov.fingerprint()[:16]}]"
         )
-    counters = {k: int(v) for k, v in simulator.admission.counters().items()}
-    counters["online.completed"] = len(metrics.jobs)
-    summary = {k: float(v) for k, v in metrics.online_summary().items()}
+    summary, counters, fingerprint = online_outcome(simulator, metrics)
     rows = [
         (
             r["tenant"], r["weight"], r["submitted"], r["admitted"],
@@ -634,9 +611,6 @@ def cmd_online(args: argparse.Namespace) -> int:
         f"p99_jct={summary['p99_jct']:.4f} "
         f"mean_slowdown={summary['mean_slowdown']:.3f} "
         f"fairness={summary['tenant_fairness']:.3f}"
-    )
-    fingerprint = online_fingerprint(
-        summary, counters, simulator.events_processed
     )
     print(f"fingerprint: {fingerprint[:16]}")
     if args.out:

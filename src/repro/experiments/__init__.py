@@ -35,12 +35,7 @@ from .sweep import (
     run_cell,
     run_sweep,
 )
-from .telemetry import (
-    TelemetryComparisonResult,
-    TelemetryRunResult,
-    critical_path_comparison,
-    run_telemetry_cell,
-)
+from .telemetry import TelemetryRunResult, run_telemetry_cell
 
 __all__ = [
     "configs",
@@ -63,9 +58,7 @@ __all__ = [
     "build_static_workload",
     "run_static_placement",
     "run_static_cell",
-    "TelemetryComparisonResult",
     "TelemetryRunResult",
-    "critical_path_comparison",
     "run_telemetry_cell",
     "CellConfig",
     "SweepSpec",

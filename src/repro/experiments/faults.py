@@ -18,7 +18,7 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from ..faults import FaultKind, FaultSpec, generate_timeline
-from ..obs import ProvenanceConfig, decision_digest
+from ..faults.chaos import chaos_trial
 from ..schedulers import make_scheduler
 from ..simulator import MapReduceSimulator, MetricsCollector
 from ..speculation import SpeculationConfig
@@ -97,89 +97,27 @@ def run_chaos_cell(
     guard.  Returns plain data: an aggregate summary, summed fault counters
     and the per-trial contract verdicts.
     """
-    from ..faults.chaos import (
-        _ChaosSimulator,
-        graded_run,
-        sample_chaos_timeline,
-    )
-
     trial_rows: list[dict] = []
     totals: dict[str, float] = {}
     for i in range(trials):
-        trial_seed = seed + i
-        allow_partition = (
-            partition_every > 0 and i % partition_every == partition_every - 1
-        )
-        timeline = sample_chaos_timeline(
-            topology_factory(),
-            seed=trial_seed,
+        row = chaos_trial(
+            topology_factory,
+            scheduler_factory,
+            jobs_factory,
+            config,
+            seed=seed + i,
             horizon=horizon,
-            allow_partition=allow_partition,
+            allow_partition=(
+                partition_every > 0
+                and i % partition_every == partition_every - 1
+            ),
+            max_task_retries=max_task_retries,
+            stall_limit=stall_limit,
+            rerun=rerun,
         )
-
-        def make_build(
-            provenance=None, sink=None, timeline=timeline,
-            trial_seed=trial_seed,
-        ):
-            def build():
-                jobs = jobs_factory()
-                sim = _ChaosSimulator(
-                    topology_factory(),
-                    scheduler_factory(),
-                    jobs,
-                    dataclasses.replace(
-                        config,
-                        seed=trial_seed,
-                        faults=tuple(timeline),
-                        max_task_retries=max_task_retries,
-                        provenance=provenance,
-                    ),
-                    stall_limit=stall_limit,
-                )
-                if sink is not None:
-                    sink.append(sim)
-                return sim, len(jobs)
-
-            return build
-
-        build = make_build()
-        status, reason, fingerprint, counters, violations = graded_run(
-            build, max_task_retries=max_task_retries
-        )
-        violations = list(violations)
-        if rerun:
-            again = graded_run(build, max_task_retries=max_task_retries)
-            if (again[0], again[1], again[2]) != (status, reason, fingerprint):
-                violations.append(
-                    f"nondeterministic rerun: {fingerprint[:12]} vs "
-                    f"{again[2][:12]}"
-                )
-        for key, value in counters.items():
+        for key, value in row.pop("counters").items():
             totals[key] = totals.get(key, 0) + value
-        row = {
-            "trial": i,
-            "seed": trial_seed,
-            "allow_partition": allow_partition,
-            "num_specs": len(timeline),
-            "status": status,
-            "reason": reason,
-            "fingerprint": fingerprint,
-            "violations": violations,
-        }
-        if status == "failed" or violations:
-            # Ship the trial's own explanation: a provenance-enabled
-            # rerun (faithful by byte-identity) yields the decision
-            # fingerprint and reason-code tallies.
-            sims: list = []
-            graded_run(
-                make_build(ProvenanceConfig(ring_size=1024), sims),
-                max_task_retries=max_task_retries,
-            )
-            if sims:
-                digest = decision_digest(sims[-1].provenance)
-                if digest:
-                    row["provenance"] = digest
-        trial_rows.append(row)
+        trial_rows.append({"trial": i, **row})
     return {
         "summary": {
             "trials": float(trials),

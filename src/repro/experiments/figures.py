@@ -17,16 +17,14 @@ from ..cluster.container import Container, TaskKind, TaskRef
 from ..cluster.resources import Resources
 from ..core.hit import HitConfig, HitOptimizer
 from ..core.taa import TAAInstance
-from ..mapreduce.hdfs import HdfsModel
-from ..mapreduce.job import JobSpec, ShuffleClass, shuffle_matrix
-from ..mapreduce.shuffle import ShuffleFlow, build_flows
+from ..mapreduce.job import ShuffleClass
+from ..mapreduce.shuffle import ShuffleFlow
 from ..mapreduce.workload import WorkloadGenerator
 from ..schedulers import make_scheduler
 from ..simulator.engine import run_simulation
 from ..simulator.metrics import MetricsCollector
-from ..topology.base import Topology
 from . import configs
-from .static import StaticResult, build_static_workload, run_static_placement
+from .static import build_static_workload, run_static_placement
 
 __all__ = [
     "fig1_traffic_volume",
@@ -241,31 +239,6 @@ def fig8a_workload_classes(
             "pna_reduction": improvement(costs["capacity"], costs["pna"]),
         }
     return out
-
-
-def _remote_map_cost(workload, result: StaticResult) -> float:
-    """Remote-Map traffic cost: split size x switches to the nearest replica."""
-    topology = workload.topology
-    total = 0.0
-    for spec in workload.jobs:
-        map_ids, _ = workload.job_containers[spec.job_id]
-        blocks = workload.hdfs.blocks_of(spec.job_id)
-        for task_index, cid in enumerate(map_ids):
-            sid = result.taa.cluster.container(cid).server_id
-            assert sid is not None
-            block = blocks[task_index]
-            if block.is_local(sid):
-                continue
-            hops = min(
-                len(
-                    topology.switches_on_path(
-                        topology.shortest_path(sid, replica)
-                    )
-                )
-                for replica in block.replicas
-            )
-            total += spec.map_input_size * hops
-    return total
 
 
 # -------------------------------------------------------------------- Fig 8b

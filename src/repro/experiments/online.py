@@ -32,21 +32,15 @@ experiments package ``__init__`` — it pulls in the whole engine.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from ..analysis.report import canonical_json
-from ..faults.chaos import CHAOS_TOPOLOGIES, WatchdogSimulator
+from ..analysis.report import canonical_digest, canonical_json
+from ..faults.chaos import CHAOS_TOPOLOGIES, WatchdogSimulator, graded_trial
 from ..mapreduce.job import JobSpec
-from ..obs import (
-    InvariantChecker,
-    ProvenanceConfig,
-    decision_digest,
-    observe,
-)
+from ..obs import InvariantChecker, ProvenanceConfig, observe
 from ..schedulers import make_scheduler
-from ..simulator import MapReduceSimulator, SimulationConfig
+from ..simulator import MapReduceSimulator, MetricsCollector, SimulationConfig
 from ..topology.base import Topology
 from ..workload import (
     ADMISSION_POLICIES,
@@ -64,8 +58,9 @@ __all__ = [
     "OnlineConfig",
     "OnlineReport",
     "build_arrival_plan",
+    "build_online_simulator",
     "graded_online_run",
-    "online_fingerprint",
+    "online_outcome",
     "overload_campaign",
     "run_online_cell",
 ]
@@ -269,28 +264,75 @@ def build_arrival_plan(
     )
 
 
-def _admission_config(policy: str, queue_bound: int) -> AdmissionConfig:
-    return AdmissionConfig(
+def build_online_simulator(
+    topology_factory: Callable[[], Topology],
+    scheduler: Any,
+    config: SimulationConfig,
+    *,
+    seed: int,
+    multiplier: float = 1.5,
+    tenants: int = 2,
+    profile: str = "poisson",
+    policy: str = "queue-bound",
+    queue_bound: int = 8,
+    duration: float = 3.0,
+    min_size: float = 2.0,
+    max_size: float = 6.0,
+    stall_limit: int = 50_000,
+) -> tuple[WatchdogSimulator, list[JobSpec]]:
+    """A fresh watchdog engine fed seeded open-loop arrivals at
+    ``multiplier`` times the fabric's estimated saturation rate.
+
+    ``config`` is the base simulation config; the admission plane and seed
+    are set here (``queue_bound`` applies only to the ``queue-bound``
+    policy).  Returns ``(simulator, jobs)``.
+    """
+    plan = build_arrival_plan(
+        topology_factory(),
+        multiplier=multiplier,
+        tenants=tenants,
+        profile=profile,
+        duration=duration,
+        min_size=min_size,
+        max_size=max_size,
+        memory_per_container=config.container_demand.memory,
+    )
+    jobs = generate_arrivals(plan, seed=seed)
+    admission = AdmissionConfig(
         policy=policy,
         queue_bound=queue_bound if policy == "queue-bound" else None,
     )
+    sim = WatchdogSimulator(
+        topology_factory(),
+        scheduler,
+        jobs,
+        dataclasses.replace(config, seed=seed, admission=admission),
+        stall_limit=stall_limit,
+    )
+    return sim, jobs
 
 
-def _fingerprint(body: dict) -> str:
-    return hashlib.sha256(canonical_json(body).encode("utf-8")).hexdigest()
+def online_outcome(
+    sim: MapReduceSimulator, metrics: MetricsCollector
+) -> tuple[dict[str, float], dict[str, int], str]:
+    """``(summary, counters, fingerprint)`` of a finished online run.
 
-
-def online_fingerprint(
-    summary: dict[str, float], counters: dict[str, int], events: int
-) -> str:
-    """Canonical fingerprint of one online run (the rerun-compare token)."""
-    return _fingerprint(
+    The counters are the admission plane's plus ``online.completed``; the
+    fingerprint (the rerun-compare token) is the canonical digest of both
+    and the event count.
+    """
+    assert sim.admission is not None
+    counters = {k: int(v) for k, v in sim.admission.counters().items()}
+    counters["online.completed"] = len(metrics.jobs)
+    summary = {k: float(v) for k, v in metrics.online_summary().items()}
+    fingerprint = canonical_digest(
         {
-            "summary": {k: float(v) for k, v in sorted(summary.items())},
-            "counters": {k: int(v) for k, v in sorted(counters.items())},
-            "events": int(events),
+            "summary": summary,
+            "counters": counters,
+            "events": sim.events_processed,
         }
     )
+    return summary, counters, fingerprint
 
 
 # ------------------------------------------------------------------- grading
@@ -323,14 +365,13 @@ def graded_online_run(
         return (
             "failed",
             reason,
-            _fingerprint({"error": reason, "counters": counters}),
+            canonical_digest({"error": reason, "counters": counters}),
             {},
             counters,
             violations,
         )
-    counters = {k: int(v) for k, v in sim.admission.counters().items()}
-    completed = len(metrics.jobs)
-    counters["online.completed"] = completed
+    summary, counters, fingerprint = online_outcome(sim, metrics)
+    completed = counters["online.completed"]
     submitted = counters.get("admission.submitted", 0)
     rejected = counters.get("admission.rejected", 0)
     queued = counters.get("admission.queued", 0)
@@ -359,8 +400,6 @@ def graded_online_run(
                 f"unbounded queue: peak tenant queue length {peak} "
                 f"exceeds bound {bound}"
             )
-    summary = {k: float(v) for k, v in metrics.online_summary().items()}
-    fingerprint = online_fingerprint(summary, counters, sim.events_processed)
     return "ok", "", fingerprint, summary, counters, violations
 
 
@@ -371,71 +410,31 @@ def run_online_cell(
     config: SimulationConfig,
     *,
     seed: int,
-    multiplier: float = 1.5,
-    tenants: int = 2,
-    profile: str = "poisson",
-    policy: str = "queue-bound",
-    queue_bound: int = 8,
-    duration: float = 3.0,
-    min_size: float = 2.0,
-    max_size: float = 6.0,
-    stall_limit: int = 50_000,
     rerun: bool = True,
+    **knobs: Any,
 ) -> dict[str, Any]:
-    """One overload arm as a self-contained cell: seeded arrivals at
-    ``multiplier`` times the estimated saturation rate, graded against the
-    overload contract (plus an optional byte-identity rerun).
+    """One overload arm as a self-contained cell: seeded arrivals graded
+    against the overload contract (plus an optional byte-identity rerun).
 
-    The factories must return *fresh* objects on every call — the cell (and
-    its determinism rerun) rebuilds the whole stack, preserving the sweep's
-    cell-isolation contract.  Returns plain JSON-serialisable data.
+    ``knobs`` are :func:`build_online_simulator`'s arrival, admission and
+    watchdog keywords.  The factories must return *fresh* objects on every
+    call — the cell, its determinism rerun and its provenance pass each
+    rebuild the whole stack, preserving the sweep's cell-isolation
+    contract.  Returns plain JSON-serialisable data.
     """
-    plan = build_arrival_plan(
-        topology_factory(),
-        multiplier=multiplier,
-        tenants=tenants,
-        profile=profile,
-        duration=duration,
-        min_size=min_size,
-        max_size=max_size,
-        memory_per_container=config.container_demand.memory,
+
+    def make_build(provenance: ProvenanceConfig | None):
+        return lambda: build_online_simulator(
+            topology_factory,
+            scheduler_factory(),
+            dataclasses.replace(config, provenance=provenance),
+            seed=seed,
+            **knobs,
+        )
+
+    status, reason, fingerprint, summary, counters, violations, provenance = (
+        graded_trial(make_build, graded_online_run, rerun=rerun)
     )
-
-    def make_build(
-        provenance: ProvenanceConfig | None = None,
-        sink: list | None = None,
-    ) -> Callable[[], tuple[MapReduceSimulator, list[JobSpec]]]:
-        def build() -> tuple[MapReduceSimulator, list[JobSpec]]:
-            jobs = generate_arrivals(plan, seed=seed)
-            sim = WatchdogSimulator(
-                topology_factory(),
-                scheduler_factory(),
-                jobs,
-                dataclasses.replace(
-                    config,
-                    seed=seed,
-                    admission=_admission_config(policy, queue_bound),
-                    provenance=provenance,
-                ),
-                stall_limit=stall_limit,
-            )
-            if sink is not None:
-                sink.append(sim)
-            return sim, jobs
-
-        return build
-
-    build = make_build()
-    status, reason, fingerprint, summary, counters, violations = (
-        graded_online_run(build)
-    )
-    violations = list(violations)
-    if rerun:
-        again = graded_online_run(build)
-        if (again[0], again[1], again[2]) != (status, reason, fingerprint):
-            violations.append(
-                f"nondeterministic rerun: {fingerprint[:12]} vs {again[2][:12]}"
-            )
     result = {
         "summary": {k: float(v) for k, v in sorted(summary.items())},
         "counters": dict(sorted(counters.items())),
@@ -444,16 +443,8 @@ def run_online_cell(
         "fingerprint": fingerprint,
         "violations": violations,
     }
-    if status == "failed" or violations:
-        # A failed/violating cell ships its own explanation: one more
-        # pass with the decision-audit plane on (faithful by the
-        # byte-identity contract) yields the decision fingerprint.
-        sims: list[MapReduceSimulator] = []
-        graded_online_run(make_build(ProvenanceConfig(ring_size=1024), sims))
-        if sims:
-            digest = decision_digest(sims[-1].provenance)
-            if digest:
-                result["provenance"] = digest
+    if provenance:
+        result["provenance"] = provenance
     return result
 
 

@@ -41,7 +41,6 @@ results, checksums — never wall-clock timings (those go to the
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
@@ -50,7 +49,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
-from ..analysis.report import canonical_json, render_sweep_report
+from ..analysis.report import (
+    canonical_digest,
+    canonical_json,
+    render_sweep_report,
+)
 from ..cluster.resources import Resources
 from ..faults import generate_timeline
 from ..mapreduce.workload import WorkloadGenerator
@@ -297,7 +300,7 @@ class CellConfig:
         sensitive to every semantic field (they are all in
         :meth:`to_dict`).
         """
-        return hashlib.sha256(self.canonical().encode("utf-8")).hexdigest()
+        return canonical_digest(self.to_dict())
 
     def label(self) -> str:
         """Short human-readable identity for logs and trace lines."""
@@ -479,10 +482,6 @@ def cell_artifact_path(cache_dir: str | Path, cell: CellConfig) -> Path:
     return Path(cache_dir) / f"{cell.config_hash()}.json"
 
 
-def _result_checksum(result: Mapping[str, Any]) -> str:
-    return hashlib.sha256(canonical_json(result).encode("utf-8")).hexdigest()
-
-
 def write_cell_artifact(
     cache_dir: str | Path, cell: CellConfig, result: Mapping[str, Any]
 ) -> Path:
@@ -500,7 +499,7 @@ def write_cell_artifact(
         "hash": cell.config_hash(),
         "config": cell.to_dict(),
         "result": dict(result),
-        "checksum": _result_checksum(result),
+        "checksum": canonical_digest(result),
     }
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(canonical_json(body) + "\n", encoding="utf-8")
@@ -530,7 +529,7 @@ def load_cell_artifact(
     result = body.get("result")
     if not isinstance(result, dict):
         return None
-    if body.get("checksum") != _result_checksum(result):
+    if body.get("checksum") != canonical_digest(result):
         return None
     return result
 
@@ -627,9 +626,7 @@ class SweepSpec:
         }
 
     def spec_hash(self) -> str:
-        return hashlib.sha256(
-            canonical_json(self.to_dict()).encode("utf-8")
-        ).hexdigest()
+        return canonical_digest(self.to_dict())
 
     def cells(self) -> list[CellConfig]:
         """Every grid point, in canonical order (sorted by canonical JSON).

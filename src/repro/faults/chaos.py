@@ -32,13 +32,13 @@ layers must not depend on.
 
 from __future__ import annotations
 
-import hashlib
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from ..analysis.report import canonical_json
+from ..analysis.report import canonical_digest, canonical_json
 from ..mapreduce import WorkloadGenerator
 from ..obs import (
     InvariantChecker,
@@ -58,9 +58,10 @@ __all__ = [
     "ChaosReport",
     "ChaosTrialResult",
     "WatchdogSimulator",
+    "chaos_trial",
     "graded_run",
+    "graded_trial",
     "run_chaos",
-    "run_chaos_trial",
     "sample_chaos_timeline",
 ]
 
@@ -180,8 +181,12 @@ class ChaosReport:
         return {
             "trials": len(self.trials),
             "ok": sum(1 for t in self.trials if t.status == "ok"),
+            # A failure that broke the contract is counted under
+            # ``violations``, not as accounted.
             "failed_accounted": sum(
-                1 for t in self.trials if t.status == "failed"
+                1
+                for t in self.trials
+                if t.status == "failed" and not t.violations
             ),
             "violations": sum(len(t.violations) for t in self.trials),
         }
@@ -231,10 +236,6 @@ class WatchdogSimulator(MapReduceSimulator):
         super()._dispatch(event)
 
 
-#: Backwards-compatible private alias (pre-rename importers).
-_ChaosSimulator = WatchdogSimulator
-
-
 def sample_chaos_timeline(
     topology: Topology,
     *,
@@ -282,10 +283,6 @@ def sample_chaos_timeline(
     )
 
 
-def _fingerprint(body: dict) -> str:
-    return hashlib.sha256(canonical_json(body).encode("utf-8")).hexdigest()
-
-
 def graded_run(
     build: Callable[[], tuple[MapReduceSimulator, int]],
     *,
@@ -305,21 +302,18 @@ def graded_run(
             metrics = sim.run()
     except Exception as exc:  # noqa: BLE001 — every escape is classified
         reason = f"{type(exc).__name__}: {exc}"
-        if isinstance(exc, RuntimeError) and "exceeded max_task_retries" in str(
-            exc
+        # Only the engine's explicit retry-budget abort is an accounted
+        # failure: the job did not finish, but nothing was lost silently.
+        if not (
+            isinstance(exc, RuntimeError)
+            and "exceeded max_task_retries" in str(exc)
         ):
-            # Accounted failure: the retry budget was spent and the engine
-            # said so.  The job did not finish, but nothing was lost
-            # silently — the contract allows this outcome.
-            status = "failed"
-        else:
-            status = "failed"
             violations.append(f"unaccounted failure: {reason}")
         counters = dict(sim.faults.summary()) if sim.faults is not None else {}
         return (
-            status,
+            "failed",
             reason,
-            _fingerprint({"error": reason, "counters": counters}),
+            canonical_digest({"error": reason, "counters": counters}),
             counters,
             violations,
         )
@@ -340,7 +334,7 @@ def graded_run(
         violations.append(
             f"parked leak: {len(sim._parked)} flows still parked at end"
         )
-    fingerprint = _fingerprint(
+    fingerprint = canonical_digest(
         {
             "summary": metrics.summary(),
             "counters": counters,
@@ -350,95 +344,121 @@ def graded_run(
     return "ok", "", fingerprint, counters, violations
 
 
-def run_chaos_trial(
-    trial: int,
+def graded_trial(
+    make_build: Callable[[ProvenanceConfig | None], Callable[[], tuple]],
+    grade: Callable[[Callable[[], tuple]], tuple],
     *,
-    scheduler: str,
-    topology: str,
+    rerun: bool,
+) -> tuple:
+    """Grade one trial, probe its determinism, and explain a failure.
+
+    The one trial loop of the chaos and overload campaigns.
+    ``make_build(provenance)`` returns a ``build`` callable that rebuilds
+    the whole stack and returns ``(simulator, ...)``; ``grade(build)`` is a
+    contract grader (:func:`graded_run`, or the overload campaign's
+    ``graded_online_run``) whose outcome starts with ``(status, reason,
+    fingerprint)`` and ends with its violations list.  With ``rerun`` the
+    trial is graded a second time and any difference in those three is a
+    violation.  A failed or violating trial gets one more pass with the
+    decision-audit plane on (faithful by the byte-identity contract), and
+    its :func:`decision_digest` is the explanation.
+
+    Returns the grader's outcome with the rerun verdict folded into its
+    violations, plus the digest (empty for a clean trial).
+    """
+    build = make_build(None)
+    outcome = grade(build)
+    violations = list(outcome[-1])
+    if rerun:
+        again = grade(build)
+        if again[:3] != outcome[:3]:
+            violations.append(
+                f"nondeterministic rerun: {outcome[2][:12]} vs {again[2][:12]}"
+            )
+    provenance: dict = {}
+    if outcome[0] == "failed" or violations:
+        audited = make_build(ProvenanceConfig(ring_size=1024))
+        sims: list[MapReduceSimulator] = []
+
+        def build_audited() -> tuple:
+            built = audited()
+            sims.append(built[0])
+            return built
+
+        grade(build_audited)
+        provenance = decision_digest(sims[-1].provenance)
+    return (*outcome[:-1], violations, provenance)
+
+
+def chaos_trial(
+    topology_factory: Callable[[], Topology],
+    scheduler_factory: Callable[[], object],
+    jobs_factory: Callable[[], list],
+    config: SimulationConfig,
+    *,
     seed: int,
-    jobs_per_trial: int = 3,
     horizon: float = 4.0,
     allow_partition: bool = False,
     max_task_retries: int = 8,
     stall_limit: int = 20_000,
     rerun: bool = True,
-) -> ChaosTrialResult:
-    """Run one seeded trial (plus its determinism rerun) and grade it."""
+) -> dict:
+    """One seeded randomized fault timeline through a fresh stack, graded
+    against the survivability contract.
+
+    The factories must return *fresh* objects on every call: the trial, its
+    determinism rerun and its provenance pass each rebuild the whole stack.
+    ``config`` is the base simulation config; the trial sets its seed,
+    timeline and retry budget.  Returns plain data; ``"provenance"`` is
+    present only on a failed or violating trial.
+    """
     timeline = sample_chaos_timeline(
-        CHAOS_TOPOLOGIES[topology](),
+        topology_factory(),
         seed=seed,
         horizon=horizon,
         allow_partition=allow_partition,
     )
 
-    def make_build(
-        provenance: ProvenanceConfig | None = None,
-        sink: list | None = None,
-    ) -> Callable[[], tuple[MapReduceSimulator, int]]:
+    def make_build(provenance: ProvenanceConfig | None):
         def build() -> tuple[MapReduceSimulator, int]:
-            jobs = WorkloadGenerator(
-                seed=seed, input_size_range=(2.0, 4.0)
-            ).make_workload(jobs_per_trial, interarrival=0.5)
-            config = SimulationConfig(
-                seed=seed,
-                faults=tuple(timeline),
-                max_task_retries=max_task_retries,
-                server_speed_spread=0.2,
-                provenance=provenance,
-            )
-            sim = _ChaosSimulator(
-                CHAOS_TOPOLOGIES[topology](),
-                make_scheduler(scheduler, seed=seed),
+            jobs = jobs_factory()
+            sim = WatchdogSimulator(
+                topology_factory(),
+                scheduler_factory(),
                 jobs,
-                config,
+                dataclasses.replace(
+                    config,
+                    seed=seed,
+                    faults=tuple(timeline),
+                    max_task_retries=max_task_retries,
+                    provenance=provenance,
+                ),
                 stall_limit=stall_limit,
             )
-            if sink is not None:
-                sink.append(sim)
             return sim, len(jobs)
 
         return build
 
-    build = make_build()
-    status, reason, fingerprint, counters, violations = graded_run(
-        build, max_task_retries=max_task_retries
-    )
-    violations = list(violations)
-    if rerun:
-        status2, reason2, fingerprint2, _, _ = graded_run(
-            build, max_task_retries=max_task_retries
+    status, reason, fingerprint, counters, violations, provenance = (
+        graded_trial(
+            make_build,
+            lambda build: graded_run(build, max_task_retries=max_task_retries),
+            rerun=rerun,
         )
-        if (status2, reason2, fingerprint2) != (status, reason, fingerprint):
-            violations.append(
-                "nondeterministic rerun: "
-                f"{(status, fingerprint[:12])} vs {(status2, fingerprint2[:12])}"
-            )
-    provenance: dict = {}
-    if status == "failed" or violations:
-        # Failed/violating trials ship their own explanation: one more
-        # pass with the decision-audit plane on (faithful by the
-        # byte-identity contract) yields the decision fingerprint.
-        sims: list[MapReduceSimulator] = []
-        graded_run(
-            make_build(ProvenanceConfig(ring_size=1024), sims),
-            max_task_retries=max_task_retries,
-        )
-        if sims:
-            provenance = decision_digest(sims[-1].provenance)
-    return ChaosTrialResult(
-        trial=trial,
-        seed=seed,
-        scheduler=scheduler,
-        topology=topology,
-        allow_partition=allow_partition,
-        num_specs=len(timeline),
-        status=status,
-        reason=reason,
-        fingerprint=fingerprint,
-        counters=counters,
-        violations=tuple(violations),
-        provenance=provenance,
     )
+    row = {
+        "seed": seed,
+        "allow_partition": allow_partition,
+        "num_specs": len(timeline),
+        "status": status,
+        "reason": reason,
+        "fingerprint": fingerprint,
+        "counters": counters,
+        "violations": violations,
+    }
+    if provenance:
+        row["provenance"] = provenance
+    return row
 
 
 def run_chaos(config: ChaosConfig | None = None) -> ChaosReport:
@@ -455,22 +475,28 @@ def run_chaos(config: ChaosConfig | None = None) -> ChaosReport:
     ]
     for i in range(config.trials):
         scheduler, topology = grid[i % len(grid)]
-        allow_partition = (
-            config.partition_every > 0
-            and i % config.partition_every == config.partition_every - 1
+        seed = config.seed + i
+        row = chaos_trial(
+            CHAOS_TOPOLOGIES[topology],
+            lambda: make_scheduler(scheduler, seed=seed),
+            lambda: WorkloadGenerator(
+                seed=seed, input_size_range=(2.0, 4.0)
+            ).make_workload(config.jobs_per_trial, interarrival=0.5),
+            SimulationConfig(server_speed_spread=0.2),
+            seed=seed,
+            horizon=config.horizon,
+            allow_partition=(
+                config.partition_every > 0
+                and i % config.partition_every == config.partition_every - 1
+            ),
+            max_task_retries=config.max_task_retries,
+            stall_limit=config.stall_limit,
+            rerun=config.rerun,
         )
+        row["violations"] = tuple(row["violations"])
         report.trials.append(
-            run_chaos_trial(
-                i,
-                scheduler=scheduler,
-                topology=topology,
-                seed=config.seed + i,
-                jobs_per_trial=config.jobs_per_trial,
-                horizon=config.horizon,
-                allow_partition=allow_partition,
-                max_task_retries=config.max_task_retries,
-                stall_limit=config.stall_limit,
-                rerun=config.rerun,
+            ChaosTrialResult(
+                trial=i, scheduler=scheduler, topology=topology, **row
             )
         )
     return report

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -83,6 +84,20 @@ class TestChaosCell:
             for row in result["trials"]
             for v in row.get("violations", ())
         )
+
+    def test_failed_trials_carry_provenance_digest(self):
+        result = run_cell(chaos_cell(trials=4, max_task_retries=0))
+        failed = [t for t in result["trials"] if t["status"] == "failed"]
+        assert failed, "a zero retry budget must fail some trial"
+        assert result["summary"]["failed_accounted"] == float(len(failed))
+        for row in result["trials"]:
+            if row["status"] == "failed":
+                assert row["provenance"]["decisions"] > 0
+                assert re.fullmatch(
+                    r"[0-9a-f]{64}", row["provenance"]["fingerprint"]
+                )
+            else:
+                assert "provenance" not in row
 
     def test_chaos_section_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="chaos"):

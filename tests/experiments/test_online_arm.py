@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -135,3 +136,15 @@ class TestSweepOnlineArm:
         assert a["counters"]["admission.submitted"] > 0
         # Plain JSON data, round-trippable without loss.
         assert json.loads(json.dumps(a, sort_keys=True)) == a
+        assert "provenance" not in a
+
+    def test_stalled_cell_carries_provenance_digest(self):
+        """A watchdog trip is a liveness violation, and the violating cell
+        ships the decision digest of a provenance-enabled rerun."""
+        result = run_cell(online_cell(stall_limit=0))
+        assert result["status"] == "failed"
+        assert [v.split(":")[0] for v in result["violations"]] == ["liveness"]
+        assert result["provenance"]["decisions"] > 0
+        assert re.fullmatch(
+            r"[0-9a-f]{64}", result["provenance"]["fingerprint"]
+        )

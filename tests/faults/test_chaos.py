@@ -7,6 +7,8 @@ with zero contract violations.
 """
 
 import json
+import re
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,9 +16,9 @@ from repro.faults.chaos import (
     CHAOS_TOPOLOGIES,
     ChaosConfig,
     ChaosReport,
-    _ChaosSimulator,
+    WatchdogSimulator,
+    graded_trial,
     run_chaos,
-    run_chaos_trial,
     sample_chaos_timeline,
 )
 from repro.mapreduce import WorkloadGenerator
@@ -73,7 +75,7 @@ class TestNoFaultByteIdentity:
             return metrics.summary(), sim.events_processed
 
         plain = run(MapReduceSimulator)
-        chaos = run(_ChaosSimulator)
+        chaos = run(WatchdogSimulator)
         assert plain == chaos
 
 
@@ -84,7 +86,7 @@ class TestWatchdogAndFailures:
         jobs = WorkloadGenerator(
             seed=5, input_size_range=(2.0, 4.0)
         ).make_workload(2, interarrival=0.5)
-        sim = _ChaosSimulator(
+        sim = WatchdogSimulator(
             small_tree,
             make_scheduler("capacity", seed=5),
             jobs,
@@ -98,21 +100,71 @@ class TestWatchdogAndFailures:
         """With a zero retry budget under heavy faults, the run aborts with
         the engine's explicit reason — an accounted failure, not a
         contract violation."""
-        failures = 0
-        for seed in range(10):
-            trial = run_chaos_trial(
-                0,
-                scheduler="capacity",
-                topology="small",
-                seed=seed,
+        report = run_chaos(
+            ChaosConfig(
+                trials=10,
+                seed=0,
+                schedulers=("capacity",),
+                topologies=("small",),
                 max_task_retries=0,
-                rerun=True,
+                partition_every=0,
             )
+        )
+        assert [t.seed for t in report.trials] == list(range(10))
+        failures = 0
+        for trial in report.trials:
             assert trial.violations == ()
             if trial.status == "failed":
                 failures += 1
                 assert "exceeded max_task_retries" in trial.reason
+                # The failed trial ships its own explanation.
+                assert trial.provenance["decisions"] > 0
+                assert re.fullmatch(
+                    r"[0-9a-f]{64}", trial.provenance["fingerprint"]
+                )
+            else:
+                assert trial.provenance == {}
         assert failures > 0, "some seed must exhaust a zero retry budget"
+        assert report.summary()["failed_accounted"] == failures
+
+    def test_violating_failures_are_not_counted_as_accounted(self):
+        """A stalled trial fails *and* violates the contract: the summary
+        counts it as a violation only."""
+        report = run_chaos(ChaosConfig(trials=2, stall_limit=0, rerun=False))
+        assert all(t.status == "failed" for t in report.trials)
+        assert report.summary() == {
+            "trials": 2,
+            "ok": 0,
+            "failed_accounted": 0,
+            "violations": 2,
+        }
+
+
+class TestGradedTrial:
+    def test_graded_trial_flags_nondeterminism_and_explains_it(self):
+        """A grader whose fingerprint drifts between passes is flagged on
+        the rerun compare, and the flagged trial gets a provenance pass."""
+        calls: list = []
+
+        def make_build(provenance):
+            return lambda: (SimpleNamespace(provenance=None), provenance)
+
+        def grade(build):
+            _, provenance = build()
+            calls.append(provenance)
+            return "ok", "", str(len(calls)) * 64, []
+
+        status, reason, fingerprint, violations, digest = graded_trial(
+            make_build, grade, rerun=True
+        )
+        assert (status, reason) == ("ok", "")
+        assert fingerprint == "1" * 64
+        assert violations == [
+            "nondeterministic rerun: 111111111111 vs 222222222222"
+        ]
+        assert calls[:2] == [None, None]
+        assert calls[2].ring_size == 1024
+        assert digest == {}
 
 
 class TestTimelineSampling:

@@ -14,18 +14,16 @@ import pytest
 
 from repro.experiments.online import (
     ONLINE_TOPOLOGIES,
-    build_arrival_plan,
-    online_fingerprint,
+    build_online_simulator,
+    online_outcome,
 )
 from repro.faults import FaultKind, FaultSpec
-from repro.faults.chaos import WatchdogSimulator
 from repro.mapreduce import WorkloadGenerator
 from repro.obs import DECISION_KINDS, REASON_CODES, ProvenanceConfig
 from repro.schedulers import make_scheduler
 from repro.simulator import MapReduceSimulator, SimulationConfig
 from repro.speculation import SpeculationConfig
 from repro.topology import TreeConfig, build_tree
-from repro.workload import AdmissionConfig, generate_arrivals
 
 
 def _faults(topology):
@@ -123,29 +121,15 @@ def test_record_stream_well_formed():
 
 def _online_run(provenance):
     seed = 1
-    topology = ONLINE_TOPOLOGIES["small"]()
-    plan = build_arrival_plan(
-        topology, multiplier=1.5, tenants=2, profile="poisson", duration=2.0
-    )
-    jobs = generate_arrivals(plan, seed=seed)
-    config = SimulationConfig(
-        map_slots_per_job=16,
-        seed=seed,
-        admission=AdmissionConfig(policy="queue-bound", queue_bound=8),
-        provenance=provenance,
-    )
-    sim = WatchdogSimulator(
-        ONLINE_TOPOLOGIES["small"](),
+    sim, _ = build_online_simulator(
+        ONLINE_TOPOLOGIES["small"],
         make_scheduler("hit-online", seed=seed),
-        jobs,
-        config,
-        stall_limit=50_000,
+        SimulationConfig(map_slots_per_job=16, provenance=provenance),
+        seed=seed,
+        duration=2.0,
     )
     metrics = sim.run()
-    counters = {k: int(v) for k, v in sim.admission.counters().items()}
-    counters["online.completed"] = len(metrics.jobs)
-    summary = {k: float(v) for k, v in metrics.online_summary().items()}
-    return sim, online_fingerprint(summary, counters, sim.events_processed)
+    return sim, online_outcome(sim, metrics)[2]
 
 
 def test_online_arm_byte_identical():
