@@ -44,7 +44,7 @@ from repro.core.preference import (  # noqa: E402
 from repro.core.scalar_ref import (  # noqa: E402
     ScalarPairCostCache,
     build_preference_matrix_scalar,
-    dag_best_path_scalar,
+    optimal_path_scalar,
 )
 from repro.mapreduce import JobSpec, ShuffleClass, build_flows  # noqa: E402
 from repro.simulator import FlowNetwork  # noqa: E402
@@ -167,14 +167,16 @@ class scalar_kernels:
     """Context manager swapping the scalar reference kernels into place.
 
     Patches the three vectorised hot spots — the grading pass, the shared
-    pair-cost cache and the stage-DAG DP — so ``HitOptimizer`` runs the
-    pre-vectorisation code end to end.
+    pair-cost cache and Algorithm 1's path search (the stage DP and its
+    slack levels, replaced by the scalar DP plus the capped enumeration
+    fallback) — so ``HitOptimizer`` runs the pre-vectorisation code end to
+    end.
     """
 
     def __enter__(self):
         self._pref = hit_mod.build_preference_matrix
         self._cache = hit_mod.PairCostCache
-        self._dp = PolicyController._dag_best_path
+        self._alg1 = PolicyController._optimal_path_impl
 
         def scalar_pref(taa, container_ids=None, cache=None, previous=None):
             scalar_cache = (
@@ -186,17 +188,13 @@ class scalar_kernels:
 
         hit_mod.build_preference_matrix = scalar_pref
         hit_mod.PairCostCache = FreshScalarCache
-        PolicyController._dag_best_path = (
-            lambda self, src, dst, rate, enforce: dag_best_path_scalar(
-                self, src, dst, rate, enforce
-            )
-        )
+        PolicyController._optimal_path_impl = optimal_path_scalar
         return self
 
     def __exit__(self, *exc):
         hit_mod.build_preference_matrix = self._pref
         hit_mod.PairCostCache = self._cache
-        PolicyController._dag_best_path = self._dp
+        PolicyController._optimal_path_impl = self._alg1
         return False
 
 

@@ -134,16 +134,11 @@ class LocalSearchOptimizer:
             if src is None or dst is None:
                 continue
             try:
-                self.taa.controller.route_flow(flow, src, dst)
+                self.taa.controller.install_route(flow, src, dst)
             except NoFeasiblePathError:
-                try:
-                    self.taa.controller.route_flow(
-                        flow, src, dst, enforce_capacity=False
-                    )
-                except NoFeasiblePathError:
-                    # Disconnected pair (partitioned fabric): skip — the
-                    # engine parks the flow at launch until recovery.
-                    continue
+                # Disconnected pair (partitioned fabric): skip — the
+                # engine parks the flow at launch until recovery.
+                continue
 
     def _apply_switch_move(self, flow_id: int, position: int, new_switch: int) -> None:
         controller = self.taa.controller

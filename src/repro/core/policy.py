@@ -8,11 +8,13 @@ flows are one-to-one.
 The :class:`PolicyController` plays the role of the paper's centralised
 OpenFlow controller: it tracks the rate load ``sum(f.rate for p in A(w))`` on
 every switch, exposes the candidate-switch set of Eq 4, and computes the
-optimal routing path of a flow (Algorithm 1, line 5) as a shortest-path
-dynamic program over the equal-cost stage DAG between the two end servers.
-Rescheduling a switch ``p.list[i] -> w_hat`` (Eq 5) falls out of the DP: the
-returned path differs from the current one exactly in the switches whose
-replacement has positive utility.
+optimal routing path of a flow (Algorithm 1, line 5) as one layered
+min-plus dynamic program over the stages between the two end servers: first
+over the shortest paths, then — when Eq 4 capacity pruning or failures empty
+them — over walks of up to :data:`MAX_SLACK` extra hops.  Rescheduling a
+switch ``p.list[i] -> w_hat`` (Eq 5) falls out of the DP: the returned path
+differs from the current one exactly in the switches whose replacement has
+positive utility.
 
 Cost model: traversing switch ``w`` costs ``rate * unit_cost(w)`` where
 ``unit_cost`` is the per-switch delay unit ``c_s`` (1 T in the case study of
@@ -32,11 +34,16 @@ import numpy as np
 from ..mapreduce.shuffle import ShuffleFlow
 from ..obs.runtime import STATE as _OBS
 from ..topology.base import Tier, Topology
-from ..topology.routing import enumerate_paths, stage_adjacency
+# `enumerate_paths` is unused here; perfbench/tracing.py wraps this binding.
+from ..topology.routing import enumerate_paths, stage_adjacency  # noqa: F401
 
 __all__ = ["Policy", "CostModel", "PolicyController", "NoFeasiblePathError"]
 
 _INF = float("inf")
+
+#: Extra hops beyond the shortest path Algorithm 1 may take when capacity
+#: pruning or failures leave no shortest path.
+MAX_SLACK = 2
 
 
 def _link_key(u: int, v: int) -> tuple[int, int]:
@@ -119,11 +126,9 @@ class PolicyController:
         self,
         topology: Topology,
         cost_model: CostModel | None = None,
-        max_slack: int = 2,
     ) -> None:
         self.topology = topology
         self.cost_model = cost_model or CostModel()
-        self.max_slack = max_slack
         self._load: dict[int, float] = {w: 0.0 for w in topology.switch_ids}
         self._base_load: dict[int, float] = {w: 0.0 for w in topology.switch_ids}
         self._policies: dict[int, Policy] = {}
@@ -275,9 +280,6 @@ class PolicyController:
         """Switches currently failed (empty when no faults are live)."""
         return frozenset(self._failed_switches)
 
-    def is_switch_failed(self, switch_id: int) -> bool:
-        return switch_id in self._failed_switches
-
     def fail_switch(self, switch_id: int) -> None:
         """Mark a switch failed: every path query routes around it.
 
@@ -317,7 +319,7 @@ class PolicyController:
     def fail_link(self, u: int, v: int) -> None:
         """Mark the physical link ``u``—``v`` unroutable.
 
-        Every path computation — the stage DP, the slack fallback, ECMP
+        Every path computation — the stage DP at every slack level, ECMP
         candidate filtering — routes around it.  (Preference *grading* keeps
         using the unit-cost matrix, which only prices dead switches; the
         grading may rank an affected pairing optimistically, but installed
@@ -490,24 +492,16 @@ class PolicyController:
                 total += arr[n]
         return float(rate * total)
 
-    def node_cost_vector(self, nodes: np.ndarray) -> np.ndarray:
-        """Per-node traversal costs under current loads.
-
-        A gather from the incrementally-maintained ``_cost_arr`` — element
-        for element exactly what :meth:`CostModel.switch_cost` returns
-        (servers contribute 0.0), with failed switches priced infinite.
-        """
-        costs = self._cost_arr[nodes]
-        if self._failed_switches:
-            # Dead switches are unroutable at any price — pricing them
-            # infinite makes every DP (capacitated or not) route around
-            # them, and leaves unreachable destinations at cost inf.
-            costs[self._failed_mask[nodes]] = _INF
-        return costs
-
     def all_node_costs(self) -> np.ndarray:
-        """Traversal-cost vector over every node id (the batched solver's
-        input); recompute after any load mutation (see :attr:`load_version`)."""
+        """Traversal-cost vector over every node id under current loads.
+
+        A copy of the incrementally-maintained ``_cost_arr`` — element for
+        element exactly what :meth:`CostModel.switch_cost` returns (servers
+        contribute 0.0) — with failed switches priced infinite: dead
+        switches are unroutable at any price, so every DP (capacitated or
+        not) routes around them.  Recompute after any load mutation (see
+        :attr:`load_version`).
+        """
         costs = self._cost_arr.copy()
         if self._failed_switches:
             costs[self._failed_mask] = _INF
@@ -539,11 +533,13 @@ class PolicyController:
     ) -> tuple[tuple[int, ...], float]:
         """Optimal shuffle path between two servers (Algorithm 1, line 5).
 
-        Runs a forward DP over the equal-cost stage DAG; when capacities
-        prune every shortest path, retries slack-extended paths up to
-        ``max_slack`` extra hops before raising
-        :class:`NoFeasiblePathError`.  Returns ``(path, cost)`` where cost is
-        ``rate``-scaled per the cost model.
+        Runs the stage DP over walks of exactly ``D + slack`` hops for
+        ``slack = 0..MAX_SLACK`` and returns the first level's cheapest
+        feasible path as ``(path, cost)``, cost ``rate``-scaled per the cost
+        model; raises :class:`NoFeasiblePathError` when no level has one.
+        A level runs only when every shorter one came back empty, so its
+        cheapest walk is a simple path: cutting a cycle out of a feasible
+        walk would leave a shorter feasible walk.
         """
         if src_server == dst_server:
             return ((src_server,), 0.0)
@@ -562,98 +558,52 @@ class PolicyController:
         self, src_server: int, dst_server: int, rate: float,
         enforce_capacity: bool,
     ) -> tuple[tuple[int, ...], float]:
-        path = self._dag_best_path(src_server, dst_server, rate, enforce_capacity)
-        if path is not None:
-            return path, self.path_cost(path, rate)
-        # Slack-extended retry: normally only worth it when capacity pruning
-        # emptied the DAG, but with failed switches even the *uncapacitated*
-        # DP can come back empty (every shortest path crosses a dead switch)
-        # while a slightly longer live detour exists.
-        if enforce_capacity or self._failed_switches or self._failed_links:
-            _OBS.tracer.count("alg1.slack_fallback")
-            broken = bool(self._failed_switches or self._failed_links)
-            for slack in range(1, self.max_slack + 1):
-                best: tuple[int, ...] | None = None
-                best_cost = _INF
-                for candidate in enumerate_paths(
-                    self.topology, src_server, dst_server, slack=slack, limit=512
-                ):
-                    if broken and not self._path_alive(candidate):
-                        continue
-                    if enforce_capacity and not self._path_feasible(candidate, rate):
-                        continue
-                    cost = self.path_cost(candidate, rate)
-                    if cost < best_cost:
-                        best, best_cost = candidate, cost
-                if best is not None:
-                    return best, best_cost
+        costs = self.all_node_costs()
+        if enforce_capacity:
+            # Eq 4 pruning: a switch without residual capacity for the flow
+            # is as unroutable as a failed one.
+            loads = self._load_arr + self._base_arr
+            costs[self._switch_mask & (self._switch_cap - loads < rate)] = _INF
+        for slack in range(MAX_SLACK + 1):
+            if slack == 1:
+                _OBS.tracer.count("alg1.slack_fallback")
+            path = self._dag_best_path(src_server, dst_server, costs, slack)
+            if path is not None:
+                return path, self.path_cost(path, rate)
         raise NoFeasiblePathError(
             f"no feasible path for rate {rate} between servers "
             f"{src_server} and {dst_server}"
         )
 
-    def _path_alive(self, path: Sequence[int]) -> bool:
-        """True when the path crosses no failed switch and no failed link."""
-        if any(n in self._failed_switches for n in path):
-            return False
-        if self._failed_links:
-            for a, b in zip(path, path[1:]):
-                if _link_key(a, b) in self._failed_links:
-                    return False
-        return True
-
-    def _path_feasible(self, path: Sequence[int], rate: float) -> bool:
-        return all(
-            self.residual(n) >= rate
-            for n in path
-            if self.topology.is_switch(n)
-        )
-
     def _dag_best_path(
-        self,
-        src: int,
-        dst: int,
-        rate: float,
-        enforce_capacity: bool,
+        self, src: int, dst: int, costs: np.ndarray, slack: int
     ) -> tuple[int, ...] | None:
-        """Masked-array min-plus DP over the cached stage adjacency.
+        """Masked-array min-plus DP over one slack level's stage adjacency.
 
-        Vectorised replacement for the frontier×stage scalar DP: per stage
+        ``costs`` prices every node, infinite where unroutable.  Per stage
         transition, candidate totals are a ``(prev, cur)`` matrix built from
-        the cached boolean adjacency (:func:`stage_adjacency`), capacity
-        pruning is a boolean mask, and ``argmin`` over the prev axis both
-        selects parents and reproduces the scalar tie-break (lowest prev node
-        id — stages are ascending).  Returns ``None`` when pruning empties a
-        stage or ``dst`` ends unreachable.
+        the boolean adjacency (:func:`stage_adjacency`), and ``argmin`` over
+        the prev axis both selects parents and reproduces the scalar
+        tie-break (lowest prev node id — stages are ascending).  Returns
+        ``None`` when pruning empties a stage or ``dst`` ends unreachable.
         """
-        stages, mats = stage_adjacency(self.topology, src, dst)
-        if len(stages) == 1:
-            return (src,)
+        stages, mats = stage_adjacency(self.topology, src, dst, slack)
         parent_idx: list[np.ndarray] = []
         current = np.zeros(1, dtype=np.float64)
         for k in range(1, len(stages)):
             nodes = stages[k]
-            costs = self.node_cost_vector(nodes)
             trans = mats[k - 1]
             if self._failed_links:
                 # Hop-level masking: a transition over a failed physical
                 # link is as unroutable as one into a failed switch.
                 trans = trans & ~self._failed_link_mask[
-                    np.ix_(stages[k - 1], nodes)
+                    stages[k - 1][:, None], nodes
                 ]
             totals = (
-                np.where(trans, current[:, None], _INF) + costs[None, :]
+                np.where(trans, current[:, None], _INF) + costs[nodes][None, :]
             )
             best = totals.min(axis=0)
             parents = totals.argmin(axis=0)
-            if enforce_capacity:
-                switches = self._switch_mask[nodes]
-                if switches.any():
-                    loads = self._load_arr[nodes] + self._base_arr[nodes]
-                    infeasible = switches & (
-                        self._switch_cap[nodes] - loads < rate
-                    )
-                    best[infeasible] = _INF
             if not np.isfinite(best).any():
                 return None
             parent_idx.append(parents)
@@ -698,6 +648,21 @@ class PolicyController:
                 "capacitated": enforce_capacity,
             }
         return policy
+
+    def install_route(
+        self, flow: ShuffleFlow, src_server: int, dst_server: int
+    ) -> Policy:
+        """Route + install a flow under Eq 4; when the fabric is saturated
+        for it, carry it anyway on the least-cost uncapacitated route (the
+        congestion term prices the overload; :meth:`is_capacitated` tells
+        the two apart).  Raises :class:`NoFeasiblePathError` only when
+        failures disconnect the pair."""
+        try:
+            return self.route_flow(flow, src_server, dst_server)
+        except NoFeasiblePathError:
+            return self.route_flow(
+                flow, src_server, dst_server, enforce_capacity=False
+            )
 
     def total_cost(self, flows: Iterable[ShuffleFlow]) -> float:
         """Objective of Eq 3 over installed policies."""

@@ -26,7 +26,7 @@ import numpy as np
 
 from ..topology.base import UNREACHABLE, Topology
 from ..topology.routing import shortest_path_stages
-from .policy import NoFeasiblePathError
+from .policy import MAX_SLACK, NoFeasiblePathError
 from .preference import PreferenceMatrix
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
@@ -163,7 +163,9 @@ def optimal_path_scalar(
     rate: float,
     enforce_capacity: bool = True,
 ) -> tuple[tuple[int, ...], float]:
-    """Scalar counterpart of :meth:`PolicyController.optimal_path`."""
+    """The original Algorithm 1 — the scalar DP over shortest paths, then a
+    capped enumerate-and-filter slack search (the shipped
+    :meth:`PolicyController.optimal_path` runs the DP at every slack)."""
     if src_server == dst_server:
         return ((src_server,), 0.0)
     path = dag_best_path_scalar(
@@ -172,14 +174,15 @@ def optimal_path_scalar(
     if path is not None:
         return path, controller.path_cost(path, rate)
     if enforce_capacity:
-        for slack in range(1, controller.max_slack + 1):
+        topo = controller.topology
+        for slack in range(1, MAX_SLACK + 1):
             best: tuple[int, ...] | None = None
             best_cost = _INF
             for candidate in enumerate_paths_scalar(
-                controller.topology, src_server, dst_server, slack=slack,
-                limit=512,
+                topo, src_server, dst_server, slack=slack, limit=512,
             ):
-                if not controller._path_feasible(candidate, rate):
+                if any(controller.residual(n) < rate
+                       for n in candidate if topo.is_switch(n)):
                     continue
                 cost = controller.path_cost(candidate, rate)
                 if cost < best_cost:

@@ -62,7 +62,6 @@ class TAAInstance:
         containers: Iterable[Container],
         flows: Sequence[ShuffleFlow],
         cost_model: CostModel | None = None,
-        max_slack: int = 2,
         cluster: ClusterState | None = None,
         controller: PolicyController | None = None,
     ) -> None:
@@ -79,7 +78,7 @@ class TAAInstance:
         self.cluster.add_containers(containers)
         self.flows: tuple[ShuffleFlow, ...] = tuple(flows)
         self.controller = controller or PolicyController(
-            topology, cost_model=cost_model, max_slack=max_slack
+            topology, cost_model=cost_model
         )
         self._flows_by_container: dict[int, list[ShuffleFlow]] = {}
         for flow in self.flows:
@@ -100,13 +99,15 @@ class TAAInstance:
         """Objective of Eq 3 over the currently installed policies."""
         return self.controller.total_cost(self.flows)
 
-    def install_all_policies(self, enforce_capacity: bool = True) -> None:
+    def install_all_policies(self) -> None:
         """(Re)route every flow optimally for the current placement.
 
         Flows between co-located containers get an empty policy (zero
         switches, zero cost).  Flows are routed in decreasing-rate order so
         heavy flows grab the cheap routes first — the natural greedy order
-        for the knapsack-like capacity constraints.  Flows with an unplaced
+        for the knapsack-like capacity constraints — each under Eq 4 where
+        the fabric allows it, uncapacitated where it is saturated
+        (:meth:`PolicyController.install_route`).  Flows with an unplaced
         endpoint are skipped (their routing is decided when the endpoint
         lands).
         """
@@ -117,22 +118,12 @@ class TAAInstance:
             if src is None or dst is None:
                 continue
             try:
-                self.controller.route_flow(flow, src, dst, enforce_capacity)
+                self.controller.install_route(flow, src, dst)
             except NoFeasiblePathError:
-                # Fabric saturated for this flow: carry it anyway on the
-                # least-cost route.  The congestion term in the cost model
-                # prices the overload; hard-failing would make high-load
-                # experiments (Figure 10's saturation knee) impossible.
-                try:
-                    self.controller.route_flow(
-                        flow, src, dst, enforce_capacity=False
-                    )
-                except NoFeasiblePathError:
-                    # Even uncapacitated routing failed: failures have
-                    # disconnected the pair (only reachable on partitioned
-                    # fabrics).  Leave the flow unrouted — the engine
-                    # routes it at launch and parks it until recovery.
-                    continue
+                # Failures have disconnected the pair (only reachable on
+                # partitioned fabrics).  Leave the flow unrouted — the
+                # engine routes it at launch and parks it until recovery.
+                continue
 
     def install_static_policies(self) -> None:
         """Route every flow on the deterministic static shortest path.

@@ -1082,23 +1082,19 @@ class MapReduceSimulator:
         them changes no control flow and consumes no randomness."""
         if self.scheduler.network_aware:
             try:
-                policy = self.controller.route_flow(flow, src, dst)
-                return policy.path, "policy-optimal", self._route_note()
+                policy = self.controller.install_route(flow, src, dst)
             except NoFeasiblePathError:
-                pass
-            try:
-                # Fabric saturated: fall through to capacity-ignoring optimum
-                # (the physical network still carries it, just congested).
-                policy = self.controller.route_flow(
-                    flow, src, dst, enforce_capacity=False
-                )
-                return policy.path, "policy-uncapacitated", self._route_note()
-            except NoFeasiblePathError:
-                # Even uncapacitated routing found nothing — only possible
-                # when failures disconnect the pair; park until recovery.
+                # Only possible when failures disconnect the pair; park
+                # until recovery.
                 if self.faults is not None:
                     return None, "no-path", {}
                 raise
+            reason = (
+                "policy-optimal"
+                if self.controller.is_capacitated(flow.flow_id)
+                else "policy-uncapacitated"
+            )
+            return policy.path, reason, self._route_note()
         if getattr(self.scheduler, "ecmp", False):
             # ECMP hashing: uniform choice over the equal-cost path set.
             from ..topology.routing import enumerate_paths

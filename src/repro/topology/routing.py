@@ -9,11 +9,13 @@ equal-length route — the stages of the shortest-path DAG between the two
 endpoints.  This module computes that structure:
 
 * :func:`shortest_path_stages` — for a node pair, the list of candidate node
-  sets per hop index (the layered graph Algorithm 1's DP runs over);
+  sets per hop index of a shortest path;
+* :func:`stage_adjacency` — the same layers, widened by a hop ``slack``, as
+  arrays plus inter-layer adjacency: the layered graph Algorithm 1's DP runs
+  over, one slack level at a time;
 * :func:`iter_paths` / :func:`enumerate_paths` — explicit, lazy or listed,
   enumeration of equal-cost (optionally slack-extended) paths, used by the
-  baselines' failure routing, Alg-1's slack fallback and tests as ground
-  truth.
+  baselines' ECMP and failure routing and by tests as ground truth.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ _STAGE_CACHE: "weakref.WeakKeyDictionary[Topology, dict[tuple[int, int], list[tu
     weakref.WeakKeyDictionary()
 )
 
-#: Vectorised companion to :data:`_STAGE_CACHE`: per (src, dst), the stages
-#: as integer arrays plus the boolean adjacency matrix between each pair of
+#: Memo of :func:`stage_adjacency` at slack 0: per (src, dst), the stages as
+#: integer arrays plus the boolean adjacency matrix between each pair of
 #: consecutive stages.  Same weak keying and staleness argument as above.
 _STAGE_ADJ_CACHE: "weakref.WeakKeyDictionary[Topology, dict[tuple[int, int], tuple[list[np.ndarray], list[np.ndarray]]]]" = (
     weakref.WeakKeyDictionary()
@@ -118,31 +120,38 @@ def shortest_path_stages(
 
 
 def stage_adjacency(
-    topology: Topology, src: int, dst: int
+    topology: Topology, src: int, dst: int, slack: int = 0
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Vectorised form of :func:`shortest_path_stages` for the policy DP.
+    """Layered graph of every ``src``→``dst`` walk of ``D + slack`` hops
+    (``D`` the shortest-path hop distance), for the policy DP.
 
-    Returns ``(stages, mats)`` where ``stages[k]`` is the k-th stage as an
-    int64 array (ascending node ids, identical contents to
-    ``shortest_path_stages``) and ``mats[k]`` is the boolean matrix of shape
-    ``(len(stages[k]), len(stages[k+1]))`` with ``mats[k][i, j]`` True iff
-    ``stages[k][i]`` and ``stages[k+1][j]`` are physically adjacent.  Cached
-    per (topology, src, dst); topologies are immutable so entries never go
-    stale.
+    Returns ``(stages, mats)`` where ``stages[k]`` (``k = 0..D+slack``) is
+    every node ``n`` with ``d(src, n) <= k`` and ``d(n, dst) <= D+slack-k``
+    as an int64 array of ascending ids — at slack 0 exactly
+    :func:`shortest_path_stages` — and ``mats[k][i, j]`` is True iff
+    ``stages[k][i]`` and ``stages[k+1][j]`` are physically adjacent.  Only
+    slack 0 is memoised.  Raises ``ValueError`` when the endpoints are
+    disconnected.
     """
-    per_topo = _STAGE_ADJ_CACHE.setdefault(topology, {})
-    cached = per_topo.get((src, dst))
-    if cached is not None:
-        return cached
-    stage_tuples = shortest_path_stages(topology, src, dst)
-    stages = [np.asarray(stage, dtype=np.int64) for stage in stage_tuples]
+    if slack == 0:
+        per_topo = _STAGE_ADJ_CACHE.setdefault(topology, {})
+        cached = per_topo.get((src, dst))
+        if cached is not None:
+            return cached
+    dist_src = topology.hop_distances_from(src)
+    dist_dst = topology.hop_distances_from(dst)
+    if dist_src[dst] == UNREACHABLE:
+        raise ValueError(f"no path between {src} and {dst}")
+    hops = int(dist_src[dst]) + slack
+    k = np.arange(hops + 1)[:, None]
+    inside = (dist_src != UNREACHABLE) & (dist_src <= k) & (dist_dst <= hops - k)
+    # Copies: a nonzero() row is a view that would pin its 2-D base.
+    stages = [np.nonzero(row)[0].copy() for row in inside]
     adjacency = topology.adjacency_matrix()
-    mats = [
-        adjacency[np.ix_(stages[k], stages[k + 1])]
-        for k in range(len(stages) - 1)
-    ]
+    mats = [adjacency[stages[k][:, None], stages[k + 1]] for k in range(hops)]
     entry = (stages, mats)
-    per_topo[(src, dst)] = entry
+    if slack == 0:
+        per_topo[(src, dst)] = entry
     return entry
 
 

@@ -3,8 +3,15 @@
 import pytest
 
 from repro.core import CostModel, NoFeasiblePathError, PolicyController
+from repro.experiments import configs
 from repro.mapreduce import ShuffleFlow
-from repro.topology import TreeConfig, Tier, build_tree, enumerate_paths
+from repro.topology import (
+    TreeConfig,
+    Tier,
+    build_tree,
+    enumerate_paths,
+    path_is_valid,
+)
 
 
 def flow(fid=0, src=100, dst=101, size=1.0, rate=1.0):
@@ -71,7 +78,7 @@ class TestOptimalPath:
         # Build a line-ish fabric where the only shortest path is saturated
         # but a detour exists.
         tree = build_tree(TreeConfig(depth=2, fanout=2, redundancy=2))
-        controller = PolicyController(tree, max_slack=2)
+        controller = PolicyController(tree)
         # Saturate one access replica pair serving rack 0 partially: block
         # the shortest stage by loading *both* replicas at one stage beyond
         # capacity for rate 2 but leave a slack route... simplest: verify the
@@ -83,6 +90,26 @@ class TestOptimalPath:
         # Rate 0.5 fits through the core.
         path, _ = controller.optimal_path(0, 3, 0.5)
         assert path[0] == 0 and path[-1] == 3
+
+    def test_slack_detour_past_the_old_enumeration_cap(self):
+        # Regression: with these four links dead on the testbed tree, none
+        # of the 32 shortest (6-hop) 18 -> 37 paths survives, and the 24
+        # live 8-hop paths all come after the first 512 of the 864 that the
+        # old capped enumerate-and-filter fallback considered — so it
+        # raised and the engine parked the flow.  The slack-2 stage DP
+        # finds the detour.
+        topo = configs.testbed_tree()
+        controller = PolicyController(topo)
+        dead = [(18, 72), (37, 83), (82, 100), (82, 101)]
+        for u, v in dead:
+            controller.fail_link(u, v)
+        path, cost = controller.optimal_path(18, 37, 0.5, enforce_capacity=False)
+        assert path == (18, 73, 98, 104, 100, 83, 36, 82, 37)
+        assert len(path) - 1 == topo.hop_distance(18, 37) + 2
+        assert path_is_valid(topo, path)
+        hops = {(min(a, b), max(a, b)) for a, b in zip(path, path[1:])}
+        assert not hops & set(dead)
+        assert cost == pytest.approx(controller.path_cost(path, 0.5))
 
 
 class TestLoadAccounting:

@@ -104,7 +104,7 @@ class TestConstraints:
         taa.cluster.place(reduce_ids[0], 15)
         # Force a huge-rate flow through without capacity checking.
         taa.flows[0].rate = 1e6
-        taa.install_all_policies(enforce_capacity=False)
+        taa.install_all_policies()
         assert any(
             v.constraint == "switch-capacity" for v in taa.verify_constraints()
         )

@@ -11,12 +11,24 @@ from repro.topology import (
     build_fattree,
     build_tree,
     count_shortest_paths,
+    build_vl2,
     enumerate_paths,
+    iter_paths,
     path_is_valid,
     shortest_path_stages,
     single_source_unit_costs,
     stage_adjacency,
 )
+
+
+SMALL_FABRICS = {
+    "tree": lambda: build_tree(depth=2, fanout=3, redundancy=2),
+    "fattree": lambda: build_fattree(k=4),
+    "vl2": lambda: build_vl2(
+        num_intermediate=2, num_aggregation=2, num_tor=4, servers_per_tor=2
+    ),
+    "bcube": lambda: build_bcube(n=3, k=1),
+}
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +86,41 @@ class TestStageAdjacency:
 
     def test_cached_identity(self, tree):
         assert stage_adjacency(tree, 0, 15) is stage_adjacency(tree, 0, 15)
+
+    @pytest.mark.parametrize("kind", sorted(SMALL_FABRICS))
+    def test_slack_zero_layers_are_shortest_path_stages(self, kind):
+        topo = SMALL_FABRICS[kind]()
+        servers = topo.server_ids
+        for src, dst in zip(servers, reversed(servers)):
+            stages, _ = stage_adjacency(topo, src, dst)
+            assert [tuple(int(n) for n in s) for s in stages] == [
+                tuple(s) for s in shortest_path_stages(topo, src, dst)
+            ]
+
+    @pytest.mark.parametrize("kind", sorted(SMALL_FABRICS))
+    @pytest.mark.parametrize("slack", [0, 1, 2])
+    def test_slack_layers_hold_every_simple_path(self, kind, slack):
+        """Every simple path of exactly ``D + slack`` hops runs through the
+        slack layers position by position, over their adjacency."""
+        topo = SMALL_FABRICS[kind]()
+        servers = topo.server_ids
+        checked = 0
+        for src, dst in [(servers[0], servers[-1]), (servers[1], servers[2])]:
+            hops = topo.hop_distance(src, dst) + slack
+            stages, mats = stage_adjacency(topo, src, dst, slack)
+            assert len(stages) == hops + 1
+            assert stages[0].tolist() == [src] and stages[-1].tolist() == [dst]
+            for stage in stages:
+                assert np.all(np.diff(stage) > 0)
+            index = [{int(n): i for i, n in enumerate(s)} for s in stages]
+            for path in iter_paths(topo, src, dst, slack):
+                if len(path) - 1 != hops:
+                    continue
+                for k, (a, b) in enumerate(zip(path, path[1:])):
+                    assert mats[k][index[k][a], index[k + 1][b]]
+                checked += 1
+        # These fabrics are bipartite, so odd slack admits no path at all.
+        assert checked > 0 or slack % 2 == 1
 
     def test_adjacency_matrix_symmetric(self, tree):
         matrix = tree.adjacency_matrix()
