@@ -24,7 +24,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from contextlib import contextmanager
+from pathlib import Path
+from types import SimpleNamespace
+from typing import Iterator, Sequence
 
 from .analysis import format_table
 from .mapreduce import WorkloadGenerator, load_workload_file, save_workload_file
@@ -46,9 +49,6 @@ __all__ = ["main", "build_parser"]
 SCHEDULER_CHOICES = (
     "capacity", "capacity-ecmp", "pna", "hit", "hit-online", "random", "rackpack",
 )
-
-#: Grid step used by bare ``--timeline`` (no ``--timeline-dt``).
-DEFAULT_TIMELINE_DT = 0.05
 
 
 def _build_topology(args: argparse.Namespace):
@@ -115,124 +115,105 @@ def _load_or_generate_jobs(args: argparse.Namespace):
     return generator.make_workload(args.jobs, interarrival=args.interarrival)
 
 
-def _make_observability(args: argparse.Namespace):
-    """Checker/tracer pair from the ``--check-invariants``/``--trace`` flags.
+@contextmanager
+def _observed(args: argparse.Namespace) -> Iterator[SimpleNamespace]:
+    """Run a command body under its checker and tracer, then report.
 
-    Falls back to whatever is already installed process-wide (the
-    ``REPRO_CHECK_INVARIANTS``/``REPRO_TRACE`` environment switches) so the
-    command's ``observe()`` scope re-installs rather than shadows it.
+    ``--check-invariants`` installs a collect-mode checker and ``--obs DIR``
+    a tracer writing ``DIR/trace.jsonl``; otherwise whatever the
+    ``REPRO_CHECK_INVARIANTS``/``REPRO_TRACE`` switches installed is kept.
+    The tracer is closed on every exit path, so a crashed run still leaves
+    a trace ending in its ``summary`` line.  A normal exit prints the
+    violations and tracer reports; ``status`` becomes 1 on any breach.
     """
-    from .obs import InvariantChecker, Tracer
+    from .analysis import format_violations
+    from .obs import InvariantChecker, Tracer, observe
     from .obs.runtime import STATE
 
     checker = (
-        InvariantChecker(mode="collect")
-        if getattr(args, "check_invariants", False)
+        InvariantChecker(mode="collect") if args.check_invariants
         else STATE.checker
     )
-    trace_path = getattr(args, "trace_file", None)
-    if trace_path:
-        tracer = Tracer.to_path(trace_path)
+    if args.obs:
+        tracer = Tracer.to_path(Path(args.obs) / "trace.jsonl")
     else:
         tracer = STATE.tracer if STATE.tracer.enabled else None
-    return checker, tracer
-
-
-def _report_observability(checker, tracer) -> int:
-    """Print the violations summary / close the trace; non-zero on breaches."""
-    from .analysis import format_violations
-
-    status = 0
+    run = SimpleNamespace(status=0)
+    try:
+        with observe(checker=checker, tracer=tracer):
+            yield run
+    finally:
+        if tracer is not None:
+            tracer.close()
     if checker is not None:
         print()
         print(format_violations(checker.violations))
-        if checker.violations:
-            status = 1
+        run.status = int(bool(checker.violations))
     if tracer is not None:
-        tracer.close()
         print(f"trace written: {tracer.events_written} events")
         print(tracer.format_report())
-    return status
-
-
-def _timeline_dt(args: argparse.Namespace) -> float | None:
-    """Resolve the simulated-time sampling step (None = recorder off).
-
-    Precedence mirrors the ``REPRO_TRACE`` convention: explicit
-    ``--timeline-dt`` wins, bare ``--timeline`` uses the default step, and
-    the ``REPRO_TIMELINE_DT`` environment variable turns recording on for
-    runs that didn't pass a flag.
-    """
-    import os
-
-    if getattr(args, "timeline_dt", None) is not None:
-        return float(args.timeline_dt)
-    if getattr(args, "timeline", False):
-        return DEFAULT_TIMELINE_DT
-    env = os.environ.get("REPRO_TIMELINE_DT", "").strip()
-    if env:
-        return float(env)
-    return None
 
 
 def _make_fault_timeline(args: argparse.Namespace, topology):
-    """Fault timeline from ``--faults`` (file) or ``--mtbf`` (sampled)."""
+    """Fault timeline from ``--faults`` (file) or the ``--*-mtbf`` flags."""
     from .faults import generate_timeline, load_fault_file
 
-    if getattr(args, "faults", None):
+    if args.faults:
         return load_fault_file(args.faults)
-    if (
-        getattr(args, "mtbf", None)
-        or getattr(args, "switch_mtbf", None)
-        or getattr(args, "slowdown_mtbf", None)
-        or getattr(args, "link_mtbf", None)
-        or getattr(args, "domain_mtbf", None)
-    ):
-        return generate_timeline(
-            topology,
-            seed=args.seed,
-            horizon=args.fault_horizon,
-            server_mtbf=args.mtbf,
-            server_mttr=args.mttr,
-            switch_mtbf=args.switch_mtbf,
-            switch_mttr=args.switch_mttr,
-            slowdown_mtbf=args.slowdown_mtbf,
-            slowdown_mttr=args.slowdown_mttr,
-            slowdown_factor=args.slowdown_factor,
-            link_mtbf=getattr(args, "link_mtbf", None),
-            link_mttr=getattr(args, "link_mttr", 1.0),
-            domain_mtbf=getattr(args, "domain_mtbf", None),
-            domain_mttr=getattr(args, "domain_mttr", 1.0),
-            domain_kind=getattr(args, "domain_kind", "rack"),
-            allow_partition=getattr(args, "allow_partition", False),
-        )
-    return ()
+    if not any((args.mtbf, args.switch_mtbf, args.slowdown_mtbf,
+                args.link_mtbf, args.domain_mtbf)):
+        return ()
+    return generate_timeline(
+        topology,
+        seed=args.seed,
+        horizon=args.fault_horizon,
+        server_mtbf=args.mtbf,
+        server_mttr=args.mttr,
+        switch_mtbf=args.switch_mtbf,
+        switch_mttr=args.switch_mttr,
+        slowdown_mtbf=args.slowdown_mtbf,
+        slowdown_mttr=args.slowdown_mttr,
+        slowdown_factor=args.slowdown_factor,
+        link_mtbf=args.link_mtbf,
+        link_mttr=args.link_mttr,
+        domain_mtbf=args.domain_mtbf,
+        domain_mttr=args.domain_mttr,
+        domain_kind=args.domain_kind,
+        allow_partition=args.allow_partition,
+    )
 
 
-def _make_speculation(args: argparse.Namespace):
-    """SpeculationConfig from the ``--speculation`` flag family (or None)."""
-    if not getattr(args, "speculation", False):
-        return None
-    from .speculation import SpeculationConfig
+def _run_file(args: argparse.Namespace, stem: str, name: str) -> str | None:
+    """``DIR/<stem>.<name>.jsonl`` under ``--obs DIR`` (None without it)."""
+    return str(Path(args.obs) / f"{stem}.{name}.jsonl") if args.obs else None
 
-    return SpeculationConfig(
-        quota=args.spec_quota,
-        threshold=args.spec_threshold,
+
+def _print_decisions(label: str, prov) -> None:
+    print(
+        f"{label}decisions: {prov.emitted} emitted (ring keeps "
+        f"{len(prov.ring)}) [sha256 {prov.fingerprint()[:16]}]"
     )
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     import dataclasses
-    from pathlib import Path
 
+    from .analysis import attribute_run
     from .experiments import configs
-    from .obs import ProvenanceConfig, observe
+    from .obs import ProvenanceConfig, save_chrome_trace, save_html_report
     from .simulator import MapReduceSimulator, save_trace_file
+    from .speculation import SpeculationConfig
 
     jobs = _load_or_generate_jobs(args)
     topology = configs.testbed_tree()
     faults = _make_fault_timeline(args, topology)
-    config = configs.testbed_simulation_config(seed=args.seed)
+    config = dataclasses.replace(
+        configs.testbed_simulation_config(seed=args.seed),
+        speculation=SpeculationConfig(
+            quota=args.spec_quota, threshold=args.spec_threshold,
+        ) if args.speculation else None,
+        timeline_dt=args.timeline,
+    )
     if faults:
         config = dataclasses.replace(
             config,
@@ -240,156 +221,98 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             max_task_retries=args.max_task_retries,
         )
         print(f"fault timeline: {len(faults)} events")
-    speculation = _make_speculation(args)
-    if speculation is not None:
-        config = dataclasses.replace(config, speculation=speculation)
-    timeline_dt = _timeline_dt(args)
-    if timeline_dt is not None:
-        config = dataclasses.replace(
-            config,
-            timeline_dt=timeline_dt,
-            timeline_max_samples=args.timeline_max_samples,
-        )
-    provenance_dir = None
-    if args.provenance:
-        provenance_dir = Path(args.provenance)
-        provenance_dir.mkdir(parents=True, exist_ok=True)
-    checker, tracer = _make_observability(args)
+    run_dir = Path(args.obs) if args.obs else None
     rows = []
     critical_by_scheduler: dict[str, list] = {}
     report_sections: list[dict] = []
-    # The tracer sink must end up flushed and closed on *every* exit path —
-    # a failed run still yields a valid JSONL trace (close() is idempotent,
-    # so the success path's _report_observability close is a no-op).
-    try:
-        with observe(checker=checker, tracer=tracer):
-            for name in args.scheduler:
-                run_config = config
-                if provenance_dir is not None:
-                    run_config = dataclasses.replace(
-                        run_config,
-                        provenance=ProvenanceConfig(
-                            path=str(
-                                provenance_dir / f"decisions.{name}.jsonl"
-                            ),
-                            ring_size=args.provenance_ring,
-                        ),
+    with _observed(args) as run:
+        for name in args.scheduler:
+            run_config = dataclasses.replace(
+                config,
+                provenance=ProvenanceConfig(
+                    path=_run_file(args, "decisions", name),
+                ) if args.provenance else None,
+                timeline_path=_run_file(args, "timeline", name),
+            )
+            simulator = MapReduceSimulator(
+                topology,
+                make_scheduler(name, seed=args.seed),
+                list(jobs),
+                run_config,
+            )
+            metrics = simulator.run()
+            if simulator.provenance is not None:
+                _print_decisions(f"{name} ", simulator.provenance)
+            counters: dict[str, int] = {}
+            for label, plane in (
+                ("faults", simulator.faults),
+                ("speculation", simulator.speculation),
+            ):
+                if plane is not None:
+                    counters.update(plane.summary())
+                    summary = ", ".join(
+                        f"{k}={v}" for k, v in plane.summary().items()
                     )
-                if args.timeline_spill and timeline_dt is not None:
-                    run_config = dataclasses.replace(
-                        run_config,
-                        timeline_spill_path=(
-                            f"{args.timeline_spill}.{name}.jsonl"
-                        ),
-                    )
-                simulator = MapReduceSimulator(
-                    topology,
-                    make_scheduler(name, seed=args.seed),
-                    list(jobs),
-                    run_config,
+                    print(f"{name} {label}: {summary}")
+            s = metrics.summary()
+            rows.append((
+                name, s["mean_jct"], s["avg_route_hops"],
+                s["avg_shuffle_delay_us"], s["shuffle_cost"],
+            ))
+            if args.critical_path or run_dir is not None:
+                critical_by_scheduler[name] = attribute_run(metrics)
+            if run_dir is not None:
+                save_trace_file(run_dir / f"history.{name}.jsonl", metrics)
+                save_chrome_trace(
+                    run_dir / f"perfetto.{name}.json",
+                    metrics,
+                    simulator.timeline,
+                    scheduler=name,
+                    provenance=simulator.provenance,
                 )
-                metrics = simulator.run()
-                if simulator.provenance is not None:
-                    prov = simulator.provenance
-                    print(
-                        f"{name} decisions: {prov.emitted} emitted "
-                        f"(ring keeps {len(prov.ring)}) -> {prov.path} "
-                        f"[sha256 {prov.fingerprint()[:16]}]"
-                    )
-                counters: dict[str, int] = {}
-                if simulator.faults is not None:
-                    counters.update(simulator.faults.summary())
-                    summary = ", ".join(
-                        f"{k}={v}"
-                        for k, v in simulator.faults.summary().items()
-                    )
-                    print(f"{name} faults: {summary}")
-                if simulator.speculation is not None:
-                    counters.update(simulator.speculation.summary())
-                    summary = ", ".join(
-                        f"{k}={v}"
-                        for k, v in simulator.speculation.summary().items()
-                    )
-                    print(f"{name} speculation: {summary}")
-                s = metrics.summary()
-                rows.append((
-                    name, s["mean_jct"], s["avg_route_hops"],
-                    s["avg_shuffle_delay_us"], s["shuffle_cost"],
-                ))
-                if args.save_trace:
-                    path = f"{args.save_trace}.{name}.jsonl"
-                    save_trace_file(path, metrics)
-                    print(f"trace saved: {path}")
-                if args.critical_path or args.html_report:
-                    from .analysis import attribute_run
+                report_sections.append({
+                    "scheduler": name,
+                    "metrics": metrics,
+                    "timeline": simulator.timeline,
+                    "critical": critical_by_scheduler[name],
+                    "counters": counters,
+                })
+        print(format_table(
+            ("scheduler", "mean JCT", "route hops", "delay (us)",
+             "shuffle cost"),
+            rows,
+            title=f"simulation: {len(jobs)} jobs on the 64-server testbed tree",
+        ))
+        if args.critical_path:
+            from .analysis import format_critical_path
 
-                    critical_by_scheduler[name] = attribute_run(metrics)
-                if args.export_trace:
-                    from .obs import save_chrome_trace
-
-                    path = f"{args.export_trace}.{name}.json"
-                    save_chrome_trace(
-                        path,
-                        metrics,
-                        simulator.timeline,
-                        scheduler=name,
-                        provenance=simulator.provenance,
-                    )
-                    print(f"perfetto trace saved: {path}")
-                if args.html_report:
-                    report_sections.append({
-                        "scheduler": name,
-                        "metrics": metrics,
-                        "timeline": simulator.timeline,
-                        "critical": critical_by_scheduler.get(name),
-                        "counters": counters,
-                    })
-    finally:
-        if tracer is not None:
-            tracer.close()
-    print(format_table(
-        ("scheduler", "mean JCT", "route hops", "delay (us)", "shuffle cost"),
-        rows,
-        title=f"simulation: {len(jobs)} jobs on the 64-server testbed tree",
-    ))
-    if args.critical_path:
-        from .analysis import format_critical_path
-
-        print()
-        print(format_critical_path(critical_by_scheduler, style="markdown"))
-    if args.html_report:
-        from .obs import save_html_report
-
-        save_html_report(args.html_report, report_sections)
-        print(f"html report saved: {args.html_report}")
-    return _report_observability(checker, tracer)
+            print()
+            print(format_critical_path(critical_by_scheduler, style="markdown"))
+        if run_dir is not None:
+            save_html_report(run_dir / "report.html", report_sections)
+            print(f"run directory written: {run_dir}")
+    return run.status
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     from .experiments import build_static_workload, configs, run_static_placement
-    from .obs import observe
 
     jobs = _load_or_generate_jobs(args)
     topology = configs.testbed_tree()
     workload = build_static_workload(topology, jobs, seed=args.seed)
-    checker, tracer = _make_observability(args)
     rows = []
-    try:
-        with observe(checker=checker, tracer=tracer):
-            for name in args.scheduler:
-                result = run_static_placement(
-                    workload, make_scheduler(name, seed=args.seed), seed=args.seed
-                )
-                rows.append((name, result.shuffle_cost, result.avg_route_hops))
-    finally:
-        if tracer is not None:
-            tracer.close()
-    print(format_table(
-        ("scheduler", "shuffle cost (GB.T)", "avg route hops"),
-        rows,
-        title=f"static placement: {len(jobs)} jobs",
-    ))
-    return _report_observability(checker, tracer)
+    with _observed(args) as run:
+        for name in args.scheduler:
+            result = run_static_placement(
+                workload, make_scheduler(name, seed=args.seed), seed=args.seed
+            )
+            rows.append((name, result.shuffle_cost, result.avg_route_hops))
+        print(format_table(
+            ("scheduler", "shuffle cost (GB.T)", "avg route hops"),
+            rows,
+            title=f"static placement: {len(jobs)} jobs",
+        ))
+    return run.status
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
@@ -442,11 +365,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from pathlib import Path
+    import json
 
     from .analysis import format_sweep_table
     from .experiments.sweep import SweepSpec, merge_sweep, run_sweep
-    from .obs import observe
 
     if args.force and args.resume:
         print("--force and --resume are contradictory", file=sys.stderr)
@@ -464,48 +386,38 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 "interarrival": args.interarrival,
             },
         })
-    checker, tracer = _make_observability(args)
-    try:
-        with observe(checker=checker, tracer=tracer):
-            result = run_sweep(
-                spec,
-                cache_dir=args.cache_dir,
-                workers=args.workers,
-                force=args.force,
-            )
-    finally:
-        if tracer is not None:
-            tracer.close()
-    print(
-        f"sweep {spec.spec_hash()[:12]}: {len(result.cells)} cells — "
-        f"{len(result.ran)} ran, {len(result.cached)} cached, "
-        f"{len(result.failed)} failed "
-        f"(workers={args.workers}, cache={args.cache_dir})"
-    )
-    if result.failed:
-        by_hash = {c.config_hash(): c for c in result.cells}
-        for cell_hash, error in sorted(result.failed.items()):
-            label = by_hash[cell_hash].label()
-            print(f"  FAILED {label} ({cell_hash[:12]}): {error}",
-                  file=sys.stderr)
-        _report_observability(checker, tracer)
-        return 1
-    report = merge_sweep(spec, args.cache_dir)
-    if args.out:
-        Path(args.out).write_text(report, encoding="utf-8")
-        print(f"merged report written: {args.out}")
-    import json as _json
-
-    cells = _json.loads(report)["cells"]
-    print(format_sweep_table(
-        cells, title=f"sweep results ({len(cells)} cells)"
-    ))
-    return _report_observability(checker, tracer)
+    with _observed(args) as run:
+        result = run_sweep(
+            spec,
+            cache_dir=args.cache_dir,
+            workers=args.workers,
+            force=args.force,
+        )
+        print(
+            f"sweep {spec.spec_hash()[:12]}: {len(result.cells)} cells — "
+            f"{len(result.ran)} ran, {len(result.cached)} cached, "
+            f"{len(result.failed)} failed "
+            f"(workers={args.workers}, cache={args.cache_dir})"
+        )
+        if result.failed:
+            by_hash = {c.config_hash(): c for c in result.cells}
+            for cell_hash, error in sorted(result.failed.items()):
+                label = by_hash[cell_hash].label()
+                print(f"  FAILED {label} ({cell_hash[:12]}): {error}",
+                      file=sys.stderr)
+        else:
+            report = merge_sweep(spec, args.cache_dir)
+            if args.out:
+                Path(args.out).write_text(report, encoding="utf-8")
+                print(f"merged report written: {args.out}")
+            cells = json.loads(report)["cells"]
+            print(format_sweep_table(
+                cells, title=f"sweep results ({len(cells)} cells)"
+            ))
+    return 1 if result.failed else run.status
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from .faults.chaos import ChaosConfig, run_chaos
 
     config = ChaosConfig(
@@ -539,98 +451,82 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def cmd_online(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from .analysis.report import canonical_json
     from .experiments.online import (
         ONLINE_TOPOLOGIES,
         build_online_simulator,
         online_outcome,
     )
-    from .obs import ProvenanceConfig, observe
+    from .obs import ProvenanceConfig
     from .simulator import SimulationConfig
 
-    provenance = None
-    if args.provenance:
-        provenance_dir = Path(args.provenance)
-        provenance_dir.mkdir(parents=True, exist_ok=True)
-        provenance = ProvenanceConfig(
-            path=str(provenance_dir / f"decisions.{args.scheduler}.jsonl"),
+    provenance = ProvenanceConfig(
+        path=_run_file(args, "decisions", args.scheduler),
+    ) if args.provenance else None
+    with _observed(args) as run:
+        simulator, jobs = build_online_simulator(
+            ONLINE_TOPOLOGIES[args.topology],
+            make_scheduler(args.scheduler, seed=args.seed),
+            SimulationConfig(map_slots_per_job=16, provenance=provenance),
+            seed=args.seed,
+            multiplier=args.arrival_rate,
+            tenants=args.tenants,
+            profile=args.profile,
+            policy=args.admission,
+            queue_bound=args.queue_bound,
+            duration=args.duration,
+            stall_limit=args.stall_limit,
         )
-    checker, tracer = _make_observability(args)
-    try:
-        with observe(checker=checker, tracer=tracer):
-            simulator, jobs = build_online_simulator(
-                ONLINE_TOPOLOGIES[args.topology],
-                make_scheduler(args.scheduler, seed=args.seed),
-                SimulationConfig(map_slots_per_job=16, provenance=provenance),
-                seed=args.seed,
-                multiplier=args.arrival_rate,
-                tenants=args.tenants,
-                profile=args.profile,
-                policy=args.admission,
-                queue_bound=args.queue_bound,
-                duration=args.duration,
-                stall_limit=args.stall_limit,
+        metrics = simulator.run()
+        assert simulator.admission is not None
+        if simulator.provenance is not None:
+            _print_decisions("", simulator.provenance)
+        summary, counters, fingerprint = online_outcome(simulator, metrics)
+        rows = [
+            (
+                r["tenant"], r["weight"], r["submitted"], r["admitted"],
+                r["started"], r["queued"], r["max_queue"], r["rejected"],
             )
-            metrics = simulator.run()
-    finally:
-        if tracer is not None:
-            tracer.close()
-    assert simulator.admission is not None
-    if simulator.provenance is not None:
-        prov = simulator.provenance
+            for r in simulator.admission.tenant_rows()
+        ]
+        print(format_table(
+            ("tenant", "weight", "submitted", "admitted", "started",
+             "queued", "max queue", "rejected"),
+            rows,
+            title=(
+                f"online: {len(jobs)} arrivals over {args.duration} time "
+                f"units ({args.profile}, {args.arrival_rate}x saturation, "
+                f"{args.admission} admission, "
+                f"{args.scheduler}/{args.topology})"
+            ),
+        ))
         print(
-            f"decisions: {prov.emitted} emitted -> {prov.path} "
-            f"[sha256 {prov.fingerprint()[:16]}]"
+            f"\ncompleted={counters['online.completed']} "
+            f"rejected={counters['admission.rejected']} "
+            f"queued={counters['admission.queued']} "
+            f"deferrals={counters['admission.deferrals']} | "
+            f"mean_jct={summary['mean_jct']:.4f} "
+            f"p99_jct={summary['p99_jct']:.4f} "
+            f"mean_slowdown={summary['mean_slowdown']:.3f} "
+            f"fairness={summary['tenant_fairness']:.3f}"
         )
-    summary, counters, fingerprint = online_outcome(simulator, metrics)
-    rows = [
-        (
-            r["tenant"], r["weight"], r["submitted"], r["admitted"],
-            r["started"], r["queued"], r["max_queue"], r["rejected"],
-        )
-        for r in simulator.admission.tenant_rows()
-    ]
-    print(format_table(
-        ("tenant", "weight", "submitted", "admitted", "started",
-         "queued", "max queue", "rejected"),
-        rows,
-        title=(
-            f"online: {len(jobs)} arrivals over {args.duration} time units "
-            f"({args.profile}, {args.arrival_rate}x saturation, "
-            f"{args.admission} admission, {args.scheduler}/{args.topology})"
-        ),
-    ))
-    print(
-        f"\ncompleted={counters['online.completed']} "
-        f"rejected={counters['admission.rejected']} "
-        f"queued={counters['admission.queued']} "
-        f"deferrals={counters['admission.deferrals']} | "
-        f"mean_jct={summary['mean_jct']:.4f} "
-        f"p99_jct={summary['p99_jct']:.4f} "
-        f"mean_slowdown={summary['mean_slowdown']:.3f} "
-        f"fairness={summary['tenant_fairness']:.3f}"
-    )
-    print(f"fingerprint: {fingerprint[:16]}")
-    if args.out:
-        body = {
-            "summary": summary,
-            "counters": dict(sorted(counters.items())),
-            "events": simulator.events_processed,
-            "fingerprint": fingerprint,
-        }
-        Path(args.out).write_text(
-            canonical_json(body) + "\n", encoding="utf-8"
-        )
-        print(f"online report written: {args.out}")
-    return _report_observability(checker, tracer)
+        print(f"fingerprint: {fingerprint[:16]}")
+        if args.out:
+            body = {
+                "summary": summary,
+                "counters": dict(sorted(counters.items())),
+                "events": simulator.events_processed,
+                "fingerprint": fingerprint,
+            }
+            Path(args.out).write_text(
+                canonical_json(body) + "\n", encoding="utf-8"
+            )
+            print(f"online report written: {args.out}")
+    return run.status
 
 
 def _decision_logs(args: argparse.Namespace) -> list:
     """Resolve ``--run`` into decision-log paths (sorted, deterministic)."""
-    from pathlib import Path
-
     run = Path(args.run)
     if run.is_file():
         return [run]
@@ -702,6 +598,27 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 
 # -------------------------------------------------------------------- parser
+def _add_obs_args(p: argparse.ArgumentParser, *, provenance: bool = False) -> None:
+    """The run-observability flags shared by every command that runs one."""
+    p.add_argument(
+        "--check-invariants", action="store_true",
+        help="verify the paper's runtime invariants and print a violations "
+             "summary (non-zero exit on breaches)",
+    )
+    p.add_argument(
+        "--obs", metavar="DIR",
+        help="run directory: counters/timers/spans go to DIR/trace.jsonl, "
+             "beside this command's other run files (docs/observability.md)",
+    )
+    if provenance:
+        p.add_argument(
+            "--provenance", action="store_true",
+            help="record one DecisionRecord per runtime choice and print its "
+                 "fingerprint; with --obs, to DIR/decisions.<scheduler>.jsonl "
+                 "for `repro explain`",
+        )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -745,68 +662,21 @@ def build_parser() -> argparse.ArgumentParser:
             "--jobs-trace", dest="jobs_trace",
             help="load jobs from a workload trace file instead",
         )
-        p.add_argument(
-            "--check-invariants", action="store_true",
-            help="verify the paper's runtime invariants and print a "
-                 "violations summary (non-zero exit on breaches)",
-        )
-        p.add_argument(
-            "--trace", dest="trace_file", metavar="FILE",
-            help="write counters/timers/spans as JSON lines to FILE",
-        )
+        _add_obs_args(p, provenance=cmd == "simulate")
         if cmd == "simulate":
-            p.add_argument("--save-trace", help="save per-scheduler run traces")
             telemetry_group = p.add_argument_group(
                 "simulated-time telemetry",
-                "opt-in, non-perturbing gauge timelines and run exports "
+                "opt-in, non-perturbing gauge timelines; with --obs, the run "
+                "directory also gets history.<scheduler>.jsonl, "
+                "perfetto.<scheduler>.json and report.html "
                 "(docs/observability.md)",
             )
             telemetry_group.add_argument(
-                "--timeline", action="store_true",
-                help="record gauge timelines on the simulated clock "
-                     f"(grid step {DEFAULT_TIMELINE_DT}; the "
-                     "REPRO_TIMELINE_DT environment variable also enables "
-                     "this)",
-            )
-            telemetry_group.add_argument(
-                "--timeline-dt", type=float, default=None, metavar="DT",
-                help="sampling grid step in simulated time (implies "
-                     "--timeline)",
-            )
-            telemetry_group.add_argument(
-                "--timeline-max-samples", type=int, default=None, metavar="N",
-                help="bound the in-memory timeline buffer to N samples; "
-                     "overflow spills to --timeline-spill (or is dropped)",
-            )
-            telemetry_group.add_argument(
-                "--timeline-spill", metavar="PREFIX",
-                help="stream overflowing timeline samples to "
-                     "PREFIX.<scheduler>.jsonl (needs --timeline-max-samples)",
-            )
-            provenance_group = p.add_argument_group(
-                "decision provenance",
-                "opt-in, non-perturbing decision-audit records; query with "
-                "`repro explain` (docs/observability.md)",
-            )
-            provenance_group.add_argument(
-                "--provenance", metavar="DIR",
-                help="record one DecisionRecord per runtime choice to "
-                     "DIR/decisions.<scheduler>.jsonl",
-            )
-            provenance_group.add_argument(
-                "--provenance-ring", type=int, default=4096, metavar="N",
-                help="in-memory decision ring size (default 4096; the "
-                     "JSONL log always has every record)",
-            )
-            telemetry_group.add_argument(
-                "--export-trace", metavar="PREFIX",
-                help="write PREFIX.<scheduler>.json Chrome trace-event "
-                     "files (open in https://ui.perfetto.dev)",
-            )
-            telemetry_group.add_argument(
-                "--html-report", metavar="FILE",
-                help="write a self-contained HTML telemetry report "
-                     "covering every scheduler in this run",
+                "--timeline", nargs="?", type=float, const=0.05, default=None,
+                metavar="DT",
+                help="record gauge timelines on the simulated clock every DT "
+                     "time units (bare flag: 0.05); with --obs, every sample "
+                     "streams to DIR/timeline.<scheduler>.jsonl",
             )
             telemetry_group.add_argument(
                 "--critical-path", action="store_true",
@@ -981,15 +851,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", metavar="FILE",
         help="write the merged canonical-JSON report to FILE",
     )
-    p.add_argument(
-        "--check-invariants", action="store_true",
-        help="verify runtime invariants during cells run in-process "
-             "(workers=1) and print a violations summary",
-    )
-    p.add_argument(
-        "--trace", dest="trace_file", metavar="FILE",
-        help="write per-cell timers and the sweep summary as JSON lines",
-    )
+    _add_obs_args(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser(
@@ -1086,30 +948,17 @@ def build_parser() -> argparse.ArgumentParser:
              "watchdog declares a stall (default 50000)",
     )
     p.add_argument(
-        "--check-invariants", action="store_true",
-        help="verify runtime invariants (incl. online accounting) and "
-             "print a violations summary (non-zero exit on breaches)",
-    )
-    p.add_argument(
-        "--trace", dest="trace_file", metavar="FILE",
-        help="write counters/timers/spans as JSON lines to FILE",
-    )
-    p.add_argument(
-        "--provenance", metavar="DIR",
-        help="record decision provenance to DIR/decisions.<scheduler>.jsonl "
-             "(non-perturbing; query with `repro explain`)",
-    )
-    p.add_argument(
         "--out", metavar="FILE",
         help="write the canonical-JSON online report to FILE",
     )
+    _add_obs_args(p, provenance=True)
     p.set_defaults(func=cmd_online)
 
     p = sub.add_parser(
         "explain",
         help="query a decision-provenance log",
-        description="Read the DIR/decisions.<scheduler>.jsonl logs a "
-                    "--provenance run wrote and either reconstruct the "
+        description="Read the DIR/decisions.<scheduler>.jsonl logs an "
+                    "--obs DIR --provenance run wrote and either reconstruct the "
                     "decision chain of one job/task (--job/--task) or "
                     "aggregate reason codes per scheduler (--summary). "
                     "Output is deterministic: records print in sequence "

@@ -10,7 +10,7 @@ proposal rounds, simulator event dispatch).
 
 Both are opt-in: nothing is checked or traced until a checker/tracer is
 installed via :func:`observe` / :func:`install`, the CLI's
-``--check-invariants`` / ``--trace`` flags, or the
+``--check-invariants`` / ``--obs DIR`` flags, or the
 ``REPRO_CHECK_INVARIANTS`` / ``REPRO_TRACE`` environment variables.  See
 ``docs/observability.md`` for the invariant catalogue and trace schema.
 """

@@ -16,21 +16,23 @@ faults, faults+speculation and online arms).
 
 Memory is bounded by construction: records live in a fixed-size ring
 buffer (``collections.deque(maxlen=ring_size)``) and are *incrementally*
-spilled to a JSONL sink as they are emitted — there is never a dense
-in-memory list of all decisions.  A running SHA-256 over the spilled
-lines gives a :meth:`ProvenanceRecorder.fingerprint` that chaos/online
-violation reports attach so failed trials ship their own explanation.
+streamed to a :class:`~repro.obs.sink.JsonlSink` as they are emitted —
+there is never a dense in-memory list of all decisions.  The sink's
+running SHA-256 gives a :meth:`ProvenanceRecorder.fingerprint` that
+chaos/online violation reports attach so failed trials ship their own
+explanation.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from collections import deque
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Any
+from typing import Any
+
+from .sink import DEFAULT_RING_SIZE, JsonlSink
 
 __all__ = [
     "DECISION_KINDS",
@@ -204,7 +206,7 @@ class ProvenanceConfig:
     """
 
     path: str | None = None
-    ring_size: int = 4096
+    ring_size: int = DEFAULT_RING_SIZE
 
 
 class ProvenanceRecorder:
@@ -212,16 +214,17 @@ class ProvenanceRecorder:
 
     The engine stamps :attr:`now` with the event time before each
     dispatch, so hooks deep inside schedulers never need a clock.  Every
-    ``emit`` appends to a fixed ring, streams one JSONL line to the spill
-    sink, and folds the line into a running SHA-256 — nothing here grows
-    with run length except the file on disk.
+    ``emit`` appends to a fixed ring and writes one line to the
+    :class:`~repro.obs.sink.JsonlSink` (file-less when ``path`` is None),
+    which folds it into a running SHA-256 — nothing here grows with run
+    length except the file on disk.
     """
 
     def __init__(
         self,
         scheduler: str,
         *,
-        ring_size: int = 4096,
+        ring_size: int = DEFAULT_RING_SIZE,
         path: str | Path | None = None,
     ) -> None:
         if ring_size <= 0:
@@ -233,11 +236,7 @@ class ProvenanceRecorder:
         self.emitted = 0
         self.counts: dict[str, int] = {}
         self.path = None if path is None else Path(path)
-        self._hash = hashlib.sha256()
-        self._sink: IO[str] | None = None
-        if self.path is not None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._sink = self.path.open("w", encoding="utf-8")
+        self.sink = JsonlSink(self.path)
 
     @classmethod
     def from_config(
@@ -276,11 +275,7 @@ class ProvenanceRecorder:
         key = f"{kind}:{reason}"
         self.counts[key] = self.counts.get(key, 0) + 1
         self.ring.append(record)
-        line = json.dumps(record.to_dict(), sort_keys=True, separators=(",", ":"))
-        self._hash.update(line.encode("utf-8"))
-        self._hash.update(b"\n")
-        if self._sink is not None:
-            self._sink.write(line + "\n")
+        self.sink.write(record.to_dict())
         return record
 
     # -------------------------------------------------------------- queries
@@ -295,17 +290,10 @@ class ProvenanceRecorder:
     def fingerprint(self) -> str:
         """SHA-256 over every emitted record, in order — the trial's own
         explanation digest, attachable to violation reports."""
-        return self._hash.hexdigest()
-
-    def flush(self) -> None:
-        if self._sink is not None:
-            self._sink.flush()
+        return self.sink.hexdigest()
 
     def close(self) -> None:
-        if self._sink is not None:
-            self._sink.flush()
-            self._sink.close()
-            self._sink = None
+        self.sink.close()
 
 
 def decision_digest(recorder: "ProvenanceRecorder | None") -> dict[str, Any]:

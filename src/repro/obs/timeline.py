@@ -10,7 +10,7 @@ straggler onset, fault-recovery churn — that end-of-run aggregates
 (:class:`~repro.simulator.metrics.MetricsCollector`) cannot answer.
 
 The recorder is **opt-in** (``SimulationConfig.timeline_dt``; CLI
-``--timeline``/``--timeline-dt``) and **provably non-perturbing**:
+``--timeline [DT]``) and **provably non-perturbing**:
 
 * it samples on a fixed grid ``t_k = k * dt`` of the *simulated* clock, at
   event boundaries — rates are piecewise constant between events, so the
@@ -30,14 +30,14 @@ The gauge catalogue is documented in ``docs/observability.md``; exports
 
 from __future__ import annotations
 
-import json
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from .runtime import STATE as _OBS
+from .sink import JsonlSink
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..simulator.engine import MapReduceSimulator
@@ -55,6 +55,9 @@ _MARKER_KINDS = frozenset(
         "SERVER_RECOVER",
         "SWITCH_FAIL",
         "SWITCH_RECOVER",
+        "LINK_FAIL",
+        "LINK_RECOVER",
+        "LINK_DEGRADE",
         "TASK_SLOWDOWN",
         "KILL_ATTEMPT",
     }
@@ -106,17 +109,10 @@ class TimelineMarker:
 
 
 def _sample_to_dict(sample: TimelineSample) -> dict[str, Any]:
-    """JSON-serialisable form of one sample (for the spill sink)."""
+    """JSON-serialisable form of one sample (one line of the sink)."""
     return {
-        "t": sample.t,
-        "switch_util": sample.switch_util.tolist(),
-        "link_util": sample.link_util.tolist(),
-        "server_occupancy": sample.server_occupancy.tolist(),
-        "running_containers": sample.running_containers,
-        "queue_depth": sample.queue_depth,
-        "active_flows": sample.active_flows,
-        "parked_flows": sample.parked_flows,
-        "gauges": sample.gauges,
+        k: v.tolist() if isinstance(v, np.ndarray) else v
+        for k, v in vars(sample).items()
     }
 
 
@@ -134,40 +130,32 @@ class TimelineRecorder:
         topology: "Topology",
         dt: float = 0.05,
         *,
-        max_samples: int | None = None,
-        spill_path: str | Path | None = None,
+        ring_size: int | None = None,
+        path: str | Path | None = None,
     ) -> None:
         if dt <= 0:
             raise ValueError(f"timeline dt must be positive, got {dt}")
-        if max_samples is not None and max_samples < 1:
-            raise ValueError("timeline max_samples must be >= 1")
+        if ring_size is not None and ring_size < 1:
+            raise ValueError("timeline ring_size must be >= 1")
         self.topology = topology
         self.dt = float(dt)
-        #: In-memory sample buffer.  With ``max_samples`` set this holds at
-        #: most that many recent samples — the overflow streams to
-        #: ``spill_path`` as JSONL (or is dropped when no path is given), so
-        #: memory stays bounded on fat-tree k=16 / 10k-flow runs.  Queries
-        #: (:meth:`times`, :meth:`series`, :meth:`switch_series`) cover the
-        #: buffered tail only; :meth:`summary` stays exact via running
-        #: aggregates.
-        self.samples: list[TimelineSample] = []
+        #: In-memory samples: every one with ``ring_size=None``, else the
+        #: most recent ``ring_size``.  Queries (:meth:`times`,
+        #: :meth:`series`, :meth:`switch_series`) cover this ring;
+        #: :meth:`summary` stays exact via running aggregates.
+        self.samples: deque[TimelineSample] = deque(maxlen=ring_size)
         self.markers: list[TimelineMarker] = []
         self.switch_ids: tuple[int, ...] = tuple(topology.switch_ids)
         self.server_ids: tuple[int, ...] = tuple(topology.server_ids)
         #: Directed-link keys in sample order (fixed on the first sample).
         self.link_keys: tuple[tuple[int, int], ...] | None = None
-        self.max_samples = max_samples
-        self.spill_path = None if spill_path is None else Path(spill_path)
-        #: Samples moved out of memory (spilled to disk or dropped).
-        self.spilled_samples = 0
-        #: Times the overflow handling engaged (one flush of the buffer).
-        self.spill_events = 0
-        #: Samples taken over the whole run, buffered or not.
+        #: Receives every sample as one JSON line (None = memory only).
+        self.sink = None if path is None else JsonlSink(path)
+        #: Samples taken over the whole run, in the ring or not.
         self.total_samples = 0
-        self._sink: IO[str] | None = None
         self._tick = 0
         self._finished = False
-        # Running aggregates so summary() is exact regardless of spill.
+        # Running aggregates so summary() is exact whatever the ring holds.
         self._peak_switch_util = 0.0
         self._peak_link_util = 0.0
         self._peak_queue_depth = 0
@@ -192,14 +180,8 @@ class TimelineRecorder:
             return
         self._finished = True
         self._sample(sim, t_end)
-        self.close()
-
-    def close(self) -> None:
-        """Flush and close the spill sink (idempotent)."""
-        if self._sink is not None:
-            self._sink.flush()
-            self._sink.close()
-            self._sink = None
+        if self.sink is not None:
+            self.sink.close()
 
     def _sample(self, sim: "MapReduceSimulator", t: float) -> None:
         network = sim.network
@@ -248,35 +230,9 @@ class TimelineRecorder:
             self._peak_occupancy = max(
                 self._peak_occupancy, float(occupancy.max())
             )
-        if (
-            self.max_samples is not None
-            and len(self.samples) >= self.max_samples
-        ):
-            self._spill()
         self.samples.append(sample)
-
-    def _spill(self) -> None:
-        """Flush the in-memory buffer to the JSONL sink (or drop it).
-
-        Counted once per flush under ``obs.timeline_spilled`` so a bounded
-        run is visible in the tracer report even when nobody inspects the
-        recorder directly."""
-        if self.spill_path is not None:
-            if self._sink is None:
-                self._sink = self.spill_path.open("w", encoding="utf-8")
-            for sample in self.samples:
-                self._sink.write(
-                    json.dumps(
-                        _sample_to_dict(sample),
-                        sort_keys=True,
-                        separators=(",", ":"),
-                    )
-                    + "\n"
-                )
-        self.spilled_samples += len(self.samples)
-        self.spill_events += 1
-        self.samples.clear()
-        _OBS.tracer.count("obs.timeline_spilled")
+        if self.sink is not None:
+            self.sink.write(_sample_to_dict(sample))
 
     # ---------------------------------------------------------------- queries
     def times(self) -> np.ndarray:
@@ -314,12 +270,11 @@ class TimelineRecorder:
         """Aggregates for reports: peaks and means over the run.
 
         Computed from running aggregates maintained at sample time, so the
-        values cover *every* sample taken — identical whether or not the
-        bounded-memory mode spilled part of the run out of the buffer.
+        values cover *every* sample taken, whatever the ring still holds.
         """
         if self.total_samples == 0:
             return {"samples": 0, "markers": len(self.markers)}
-        out: dict[str, Any] = {
+        return {
             "samples": self.total_samples,
             "markers": len(self.markers),
             "dt": self.dt,
@@ -329,6 +284,3 @@ class TimelineRecorder:
             "peak_active_flows": int(self._peak_active_flows),
             "peak_occupancy": float(self._peak_occupancy),
         }
-        if self.spilled_samples:
-            out["spilled_samples"] = self.spilled_samples
-        return out

@@ -9,7 +9,8 @@ Two tracer flavours share one interface:
   no-op context object, so no generator is created.
 * :class:`Tracer` — accumulates named counters and aggregate timers
   in-process and, when given a sink, emits one JSON object per line
-  (``{"ev": ..., "name": ..., ...}``) for offline analysis.
+  (``{"ev": ..., "name": ..., ...}``) through a
+  :class:`~repro.obs.sink.JsonlSink` for offline analysis.
 
 Two timing APIs with different granularity:
 
@@ -25,10 +26,12 @@ The JSONL schema is documented in ``docs/observability.md``.
 
 from __future__ import annotations
 
-import json
 import time
 from contextlib import contextmanager, nullcontext
+from pathlib import Path
 from typing import IO, Any, Iterator
+
+from .sink import JsonlSink
 
 __all__ = ["NullTracer", "NULL_TRACER", "Tracer", "TimerStat"]
 
@@ -86,28 +89,30 @@ class TimerStat:
 class Tracer:
     """Counter/timer aggregation plus optional JSON-lines event output.
 
-    ``sink`` is any text file-like object; pass ``None`` to aggregate only
-    (counters and timers still accumulate, nothing is written).  The tracer
-    owns sinks it opened via :meth:`to_path` and closes them in
-    :meth:`close`; caller-supplied sinks are flushed but left open.
+    ``sink`` is a file path or a text stream, wrapped in a
+    :class:`~repro.obs.sink.JsonlSink`; pass ``None`` to aggregate only
+    (counters and timers still accumulate, nothing is written).  A file
+    the tracer opened is closed by :meth:`close`; a caller-supplied stream
+    is flushed but left open.
     """
 
     enabled = True
 
-    def __init__(self, sink: IO[str] | None = None) -> None:
+    def __init__(self, sink: str | Path | IO[str] | None = None) -> None:
         self.counters: dict[str, int] = {}
         self.timers: dict[str, TimerStat] = {}
-        self._sink = sink
-        self._owns_sink = False
+        self._sink = None if sink is None else JsonlSink(sink)
         self._t0 = time.perf_counter()
-        self.events_written = 0
 
     @classmethod
-    def to_path(cls, path: str) -> "Tracer":
+    def to_path(cls, path: str | Path) -> "Tracer":
         """Tracer writing JSON lines to ``path`` (truncates an existing file)."""
-        tracer = cls(sink=open(path, "w", encoding="utf-8"))
-        tracer._owns_sink = True
-        return tracer
+        return cls(sink=Path(path))
+
+    @property
+    def events_written(self) -> int:
+        """Lines written to the sink so far (0 without one)."""
+        return 0 if self._sink is None else self._sink.lines
 
     # ------------------------------------------------------------- recording
     def count(self, name: str, n: int = 1) -> None:
@@ -154,10 +159,8 @@ class Tracer:
         return round((time.perf_counter() - self._t0) * 1e3, 6)
 
     def _write(self, record: dict[str, Any]) -> None:
-        if self._sink is None:
-            return
-        self._sink.write(json.dumps(record, default=str) + "\n")
-        self.events_written += 1
+        if self._sink is not None:
+            self._sink.write(record)
 
     def summary(self) -> dict[str, Any]:
         """Counters plus per-timer call counts / totals, for reports."""
@@ -211,7 +214,7 @@ class Tracer:
         """Human-readable end-of-run digest: top timers + counter deltas.
 
         One line per timer (``name  calls  total_ms  mean_ms``) followed by
-        the counters that moved; intended for CLI ``--observe`` output and
+        the counters that moved; intended for CLI ``--obs`` output and
         log tails, not for machine parsing (that is :meth:`summary`).
         """
         lines: list[str] = []
@@ -238,15 +241,9 @@ class Tracer:
             lines.append("no counters moved")
         return "\n".join(lines)
 
-    def flush(self) -> None:
-        if self._sink is not None:
-            self._sink.flush()
-
     def close(self) -> None:
-        """Write a final ``summary`` line and close an owned sink."""
-        if self._sink is not None:
+        """Write the final ``summary`` line and close the sink; later calls
+        are no-ops."""
+        if self._sink is not None and not self._sink.closed:
             self._write({"ev": "summary", "name": "tracer", **self.summary()})
-            self._sink.flush()
-            if self._owns_sink:
-                self._sink.close()
-                self._sink = None
+            self._sink.close()

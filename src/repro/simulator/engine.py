@@ -132,15 +132,12 @@ class SimulationConfig:
     #: ``timeline_dt`` simulated time units — reads only, so a recorded run
     #: is byte-identical to an unrecorded one.
     timeline_dt: float | None = None
-    #: In-memory cap on telemetry samples (None = unbounded buffering, the
-    #: classic behaviour).  When the buffer reaches the cap, the oldest
-    #: samples are spilled to ``timeline_spill_path`` as JSONL (or dropped
-    #: when no path is configured) so ``--timeline`` survives fat-tree
-    #: k=16 / 10k-flow runs; the recorder's running aggregates keep
+    #: JSONL file that receives every telemetry sample when ``timeline_dt``
+    #: is set (None = keep every sample in memory).  With a path, memory
+    #: keeps only the most recent ``DEFAULT_RING_SIZE`` samples, so long
+    #: runs stay bounded; the recorder's running aggregates keep
     #: ``summary()`` exact either way.
-    timeline_max_samples: int | None = None
-    #: JSONL sink for spilled telemetry samples (None = drop on overflow).
-    timeline_spill_path: str | None = None
+    timeline_path: str | None = None
     #: Decision-provenance plane (None = off: no recorder is constructed
     #: and every audit hook below is skipped).  Opt-in and non-perturbing —
     #: all hooks are pure reads that consume no randomness, so a
@@ -279,19 +276,21 @@ class MapReduceSimulator:
         #: Simulated-time telemetry recorder (None = off; the import is
         #: deferred so a telemetry-free run never touches the module).
         if self.config.timeline_dt is not None:
+            from ..obs.sink import DEFAULT_RING_SIZE
             from ..obs.timeline import TimelineRecorder
 
+            path = self.config.timeline_path
             self.timeline: TimelineRecorder | None = TimelineRecorder(
                 topology,
                 self.config.timeline_dt,
-                max_samples=self.config.timeline_max_samples,
-                spill_path=self.config.timeline_spill_path,
+                ring_size=None if path is None else DEFAULT_RING_SIZE,
+                path=path,
             )
         else:
             self.timeline = None
         #: Decision-audit recorder (None = off; every provenance hook below
         #: is a no-op branch).  Emission is append-only into a bounded ring
-        #: plus an incremental JSONL spill — see ``repro.obs.provenance``.
+        #: plus an incremental JSONL stream — see ``repro.obs.provenance``.
         self.provenance: ProvenanceRecorder | None = (
             ProvenanceRecorder.from_config(self.config.provenance, scheduler.name)
             if self.config.provenance is not None

@@ -121,7 +121,8 @@ def test_finish_is_idempotent():
     assert len(recorder.samples) == n
 
 
-def _bounded_sim(max_samples, spill_path=None, dt=0.05, seed=0):
+def _bounded_sim(ring_size, path=None, dt=0.05, seed=0):
+    """The ``_recorded_sim(dt=0.05)`` run with a small in-memory ring."""
     jobs = WorkloadGenerator(
         seed=seed, input_size_range=(4.0, 8.0), map_rate=8.0, reduce_rate=8.0
     ).make_workload(3, interarrival=0.3)
@@ -129,12 +130,10 @@ def _bounded_sim(max_samples, spill_path=None, dt=0.05, seed=0):
         _topology(),
         make_scheduler("hit-online", seed=seed),
         jobs,
-        SimulationConfig(
-            seed=seed,
-            timeline_dt=dt,
-            timeline_max_samples=max_samples,
-            timeline_spill_path=None if spill_path is None else str(spill_path),
-        ),
+        SimulationConfig(seed=seed, timeline_dt=dt),
+    )
+    sim.timeline = TimelineRecorder(
+        sim.topology, dt, ring_size=ring_size, path=path
     )
     sim.run()
     return sim
@@ -142,43 +141,76 @@ def _bounded_sim(max_samples, spill_path=None, dt=0.05, seed=0):
 
 def test_max_samples_must_be_positive():
     with pytest.raises(ValueError):
-        TimelineRecorder(_topology(), max_samples=0)
+        TimelineRecorder(_topology(), ring_size=0)
 
 
 def test_spill_bounds_memory_and_keeps_every_sample(tmp_path):
-    spill = tmp_path / "timeline.jsonl"
+    """Streamed ring: memory holds exactly the last N samples, the file
+    holds every sample of the unbounded run, in order."""
+    path = tmp_path / "timeline.jsonl"
     unbounded = _recorded_sim(dt=0.05).timeline
-    total = len(unbounded.samples)
-    assert total > 16, "scenario too small to exercise the bound"
+    all_t = [s.t for s in unbounded.samples]
+    assert len(all_t) > 16, "scenario too small to exercise the bound"
 
-    bounded = _bounded_sim(16, spill).timeline
-    assert len(bounded.samples) < 16
-    assert bounded.spilled_samples + len(bounded.samples) == total
-    assert bounded.spill_events == bounded.spilled_samples // 16
-    lines = [json.loads(l) for l in spill.read_text().splitlines()]
-    assert len(lines) == bounded.spilled_samples
-    # Spilled rows + the in-memory tail reproduce the unbounded grid.
-    spilled_t = [row["t"] for row in lines]
-    tail_t = [s.t for s in bounded.samples]
-    assert spilled_t + tail_t == [s.t for s in unbounded.samples]
+    bounded = _bounded_sim(16, path).timeline
+    assert bounded.total_samples == len(all_t)
+    assert [s.t for s in bounded.samples] == all_t[-16:]
+    lines = [json.loads(l) for l in path.read_text().splitlines()]
+    assert [row["t"] for row in lines] == all_t
+    assert bounded.sink.lines == len(all_t) and bounded.sink.closed
     assert set(lines[0]) >= {"t", "switch_util", "link_util",
                              "server_occupancy", "active_flows"}
+    # Each streamed row is the unbounded run's sample, field for field.
+    last = unbounded.samples[-1]
+    assert lines[-1]["switch_util"] == last.switch_util.tolist()
+    assert lines[-1]["queue_depth"] == last.queue_depth
 
 
 def test_bounded_summary_matches_unbounded(tmp_path):
     unbounded = _recorded_sim(dt=0.05).timeline
     bounded = _bounded_sim(16, tmp_path / "tl.jsonl").timeline
-    expect = unbounded.summary()
-    got = bounded.summary()
-    spilled = got.pop("spilled_samples")
-    assert spilled == bounded.spilled_samples
     # Peaks and counts come from running aggregates, not the ring.
-    assert got == pytest.approx(expect)
+    assert bounded.summary() == pytest.approx(unbounded.summary())
 
 
-def test_spill_without_path_drops_but_counts(tmp_path):
-    bounded = _bounded_sim(16, spill_path=None).timeline
-    assert bounded.spill_path is None
-    assert bounded.spilled_samples > 0
-    assert len(bounded.samples) < 16
-    assert bounded.summary()["spilled_samples"] == bounded.spilled_samples
+def test_spill_without_path_drops_but_counts():
+    """Sink-less ring: the oldest samples are dropped, summary stays exact."""
+    unbounded = _recorded_sim(dt=0.05).timeline
+    bounded = _bounded_sim(16, path=None).timeline
+    assert bounded.sink is None
+    assert len(bounded.samples) == 16
+    assert bounded.total_samples == len(unbounded.samples) > 16
+    assert bounded.times().tolist() == unbounded.times().tolist()[-16:]
+    assert bounded.summary() == pytest.approx(unbounded.summary())
+
+
+def test_link_faults_become_markers():
+    from repro.experiments.configs import testbed_tree
+    from repro.faults import FaultKind, FaultSpec
+
+    jobs = WorkloadGenerator(
+        seed=0, input_size_range=(4.0, 8.0), map_rate=8.0, reduce_rate=8.0
+    ).make_workload(3, interarrival=0.3)
+    sim = MapReduceSimulator(
+        testbed_tree(),
+        make_scheduler("capacity", seed=0),
+        jobs,
+        SimulationConfig(
+            seed=0,
+            timeline_dt=0.1,
+            faults=(
+                FaultSpec(0.3, FaultKind.LINK_FAIL, 0, target2=64),
+                FaultSpec(0.4, FaultKind.SERVER_FAIL, 5),
+                FaultSpec(0.8, FaultKind.LINK_RECOVER, 0, target2=64),
+                FaultSpec(0.9, FaultKind.SERVER_RECOVER, 5),
+            ),
+        ),
+    )
+    sim.run()
+    assert sim.faults.summary()["faults.link_fail"] == 1
+    assert [(m.t, m.kind) for m in sim.timeline.markers] == [
+        (0.3, "link_fail"),
+        (0.4, "server_fail"),
+        (0.8, "link_recover"),
+        (0.9, "server_recover"),
+    ]

@@ -111,6 +111,16 @@ class TestJsonLinesOutput:
         assert last["ev"] == "summary"
         assert last["counters"] == {"n": 3}
 
+    def test_close_is_idempotent_on_caller_sink(self):
+        sink = io.StringIO()
+        t = Tracer(sink=sink)
+        t.event("e")
+        t.close()
+        t.close()
+        records = [json.loads(l) for l in sink.getvalue().splitlines()]
+        assert [r["ev"] for r in records] == ["event", "summary"]
+        assert not sink.closed  # caller-owned streams stay open
+
     def test_to_path_owns_and_closes_file(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         t = Tracer.to_path(str(path))

@@ -125,7 +125,7 @@ class TestCli:
         trace = tmp_path / "trace.jsonl"
         assert main([
             "simulate", "--jobs", "2", "--scheduler", "hit",
-            "--trace", str(trace),
+            "--obs", str(tmp_path),
         ]) == 0
         assert "trace written" in capsys.readouterr().out
         records = [

@@ -75,14 +75,14 @@ class TestOptimizeCommand:
 
 class TestSimulateCommand:
     def test_runs_and_saves_trace(self, tmp_path, capsys):
-        prefix = tmp_path / "run"
+        run_dir = tmp_path / "run"
         assert main([
             "simulate", "--jobs", "3", "--scheduler", "capacity",
-            "--save-trace", str(prefix),
+            "--obs", str(run_dir),
         ]) == 0
         out = capsys.readouterr().out
         assert "mean JCT" in out
-        trace_file = tmp_path / "run.capacity.jsonl"
+        trace_file = run_dir / "history.capacity.jsonl"
         assert trace_file.exists()
         records = [json.loads(l) for l in trace_file.read_text().splitlines() if l]
         kinds = {r["kind"] for r in records}
@@ -93,19 +93,17 @@ class TestTelemetryFlags:
     def test_timeline_export_and_reports(self, tmp_path, capsys):
         from repro.obs import validate_chrome_trace
 
-        prefix = tmp_path / "perfetto"
-        report = tmp_path / "report.html"
+        run_dir = tmp_path / "run"
+        report = run_dir / "report.html"
         assert main([
             "simulate", "--jobs", "2", "--scheduler", "capacity", "hit",
-            "--timeline", "--critical-path",
-            "--export-trace", str(prefix),
-            "--html-report", str(report),
+            "--timeline", "--critical-path", "--obs", str(run_dir),
         ]) == 0
         out = capsys.readouterr().out
         assert "critical-path attribution" in out
         assert "| scheduler |" in out  # markdown table on stdout
         for name in ("capacity", "hit"):
-            trace = json.loads((tmp_path / f"perfetto.{name}.json").read_text())
+            trace = json.loads((run_dir / f"perfetto.{name}.json").read_text())
             assert validate_chrome_trace(trace) == []
             # --timeline was on, so counter samples must be present.
             assert any(e["ph"] == "C" for e in trace["traceEvents"])
@@ -113,29 +111,18 @@ class TestTelemetryFlags:
         assert "capacity" in html and "hit" in html and "<svg" in html
 
     def test_export_without_timeline_has_no_counters(self, tmp_path, capsys):
-        prefix = tmp_path / "bare"
+        run_dir = tmp_path / "bare"
         assert main([
             "simulate", "--jobs", "2", "--scheduler", "capacity",
-            "--export-trace", str(prefix),
+            "--obs", str(run_dir),
         ]) == 0
         capsys.readouterr()
-        trace = json.loads((tmp_path / "bare.capacity.json").read_text())
+        trace = json.loads((run_dir / "perfetto.capacity.json").read_text())
         assert not any(e["ph"] == "C" for e in trace["traceEvents"])
-
-    def test_env_var_enables_timeline(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_TIMELINE_DT", "0.2")
-        prefix = tmp_path / "env"
-        assert main([
-            "simulate", "--jobs", "2", "--scheduler", "capacity",
-            "--export-trace", str(prefix),
-        ]) == 0
-        capsys.readouterr()
-        trace = json.loads((tmp_path / "env.capacity.json").read_text())
-        assert any(e["ph"] == "C" for e in trace["traceEvents"])
 
 
 class TestTracerSinkLifecycle:
-    """The --trace sink must be flushed/closed on every exit path."""
+    """The --obs trace sink must be flushed/closed on every exit path."""
 
     def test_failing_run_still_yields_valid_jsonl(self, tmp_path, monkeypatch):
         from repro.simulator import MapReduceSimulator
@@ -144,11 +131,11 @@ class TestTracerSinkLifecycle:
             raise RuntimeError("mid-run crash")
 
         monkeypatch.setattr(MapReduceSimulator, "run", boom)
-        trace = tmp_path / "crash.jsonl"
+        trace = tmp_path / "crash" / "trace.jsonl"
         with pytest.raises(RuntimeError, match="mid-run crash"):
             main([
                 "simulate", "--jobs", "2", "--scheduler", "capacity",
-                "--trace", str(trace),
+                "--obs", str(trace.parent),
             ])
         lines = [l for l in trace.read_text().splitlines() if l.strip()]
         records = [json.loads(l) for l in lines]  # every line parses
@@ -164,11 +151,11 @@ class TestTracerSinkLifecycle:
         monkeypatch.setattr(
             repro.experiments, "run_static_placement", boom
         )
-        trace = tmp_path / "crash.jsonl"
+        trace = tmp_path / "crash" / "trace.jsonl"
         with pytest.raises(RuntimeError, match="placement crash"):
             main([
                 "optimize", "--jobs", "2", "--scheduler", "hit",
-                "--trace", str(trace),
+                "--obs", str(trace.parent),
             ])
         records = [
             json.loads(l) for l in trace.read_text().splitlines() if l.strip()

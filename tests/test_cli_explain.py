@@ -2,7 +2,7 @@
 
 The chain test runs against a hand-crafted ``decisions.*.jsonl`` so the
 expected output is an exact golden string; the end-to-end test drives a
-real ``simulate --provenance`` run and then explains a task from it.
+real ``simulate --obs DIR --provenance`` run and then explains a task from it.
 """
 
 import json
@@ -115,7 +115,7 @@ class TestExplainEndToEnd:
         prov = tmp_path / "prov"
         assert main([
             "simulate", "--scheduler", "hit", "--jobs", "3", "--seed", "0",
-            "--provenance", str(prov),
+            "--obs", str(prov), "--provenance",
         ]) == 0
         capsys.readouterr()
         assert main(["explain", "--run", str(prov), "--job", "0",

@@ -121,9 +121,9 @@ class TestGridFile:
 
 class TestObservability:
     def test_trace_records_cell_timers_and_summary(self, tmp_path, capsys):
-        trace = tmp_path / "sweep.jsonl"
+        trace = tmp_path / "obs" / "trace.jsonl"
         assert main(
-            sweep_cmd(tmp_path / "cache", extra=["--trace", str(trace)])
+            sweep_cmd(tmp_path / "cache", extra=["--obs", str(trace.parent)])
         ) == 0
         records = [
             json.loads(line)
