@@ -240,7 +240,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 list(jobs),
                 run_config,
             )
-            metrics = simulator.run()
+            try:
+                metrics = simulator.run()
+            finally:
+                # The run files were opened at construction: close them
+                # even when the run never got to its own cleanup.
+                simulator.close()
             if simulator.provenance is not None:
                 _print_decisions(f"{name} ", simulator.provenance)
             counters: dict[str, int] = {}

@@ -275,10 +275,38 @@ class PolicyController:
         return self.topology.switch(switch_id).capacity - self.load(switch_id)
 
     # --------------------------------------------------------- failure state
+    # The controller is the one record of which switches and links are
+    # dead; the fault injector applies every transition here.
+
     @property
     def failed_switches(self) -> frozenset[int]:
         """Switches currently failed (empty when no faults are live)."""
         return frozenset(self._failed_switches)
+
+    @property
+    def has_failures(self) -> bool:
+        """True while any switch or link is dead."""
+        return bool(self._failed_switches or self._failed_links)
+
+    def dead_element(
+        self, path: Sequence[int]
+    ) -> int | tuple[int, int] | None:
+        """The first failed switch on ``path``, else its first dead hop
+        ``(a, b)`` in path order; ``None`` when the path is live.
+
+        The one path-liveness predicate: the routing guard, the
+        path-liveness invariant, baseline failure masking and the
+        fault-time reroute test all ask it.
+        """
+        failed = self._failed_switches
+        if failed and not failed.isdisjoint(path):
+            return next(node for node in path if node in failed)
+        links = self._failed_links
+        if links:
+            for a, b in zip(path, path[1:]):
+                if ((a, b) if a <= b else (b, a)) in links:
+                    return (a, b)
+        return None
 
     def fail_switch(self, switch_id: int) -> None:
         """Mark a switch failed: every path query routes around it.

@@ -9,7 +9,9 @@ dies mid-job?  Three layers:
   timelines: explicit :class:`FaultSpec` lists, JSON-lines fault files, or
   exponential MTBF/MTTR sampling.
 * **injection** (:mod:`repro.faults.injector`) — turns a timeline into
-  simulator events and tracks live fabric state + fault counters.
+  simulator events, applies each transition to the element's owner (the
+  cluster for servers, the policy controller for switches and links) and
+  keeps the fault counters.
 * **domains** (:mod:`repro.faults.domains`) — correlated failure domains
   (racks, pods, power feeds) derived from link adjacency.
 * **chaos** (:mod:`repro.faults.chaos`, imported explicitly — it pulls in

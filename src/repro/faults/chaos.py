@@ -13,8 +13,9 @@ on every trial:
   than ``max_task_retries``;
 * **routing safety** — no flow ever traverses a failed switch or a dead
   (failed / degraded-to-zero) link; checked continuously by the engine's
-  ``assert_path_clear`` guard and the observation layer's path-liveness
-  invariant, both in ``raise`` mode;
+  ``assert_path_clear`` guard on every install and the observation layer's
+  path-liveness invariant on every clock advance (``raise`` mode), both
+  asking the policy controller, the one owner of switch and link liveness;
 * **no parked leaks** — a completed run leaves no flow parked forever;
 * **determinism** — rerunning a trial from its seed is byte-identical
   (same fingerprint, or the same failure reason);

@@ -1,16 +1,20 @@
-"""Fault injection layer: timeline → simulator events + live fault state.
+"""Fault injection layer: timeline → simulator events + fault transitions.
 
 :class:`FaultInjector` owns the boundary between a declarative timeline
 (:mod:`repro.faults.spec`) and the discrete-event engine: it validates the
 timeline against the fabric, pushes one event per fault into the
-:class:`~repro.simulator.events.EventQueue`, and keeps the running tally of
-what is currently dead plus the ``faults.*`` / ``retries.*`` counters the
-observability layer reports.
+:class:`~repro.simulator.events.EventQueue`, applies each fault transition
+to the component that owns the element, and keeps the ``faults.*`` /
+``retries.*`` counters the observability layer reports.
 
-The *effects* of each event (killing tasks, rerouting flows, restoring
-capacity) are applied by the engine's recovery layer — the injector only
-answers "what is failed right now?" and "how often did each fault class
-fire?", so it can also be driven standalone in tests.
+Liveness has one owner per element: the
+:class:`~repro.cluster.state.ClusterState` records dead servers and the
+:class:`~repro.core.policy.PolicyController` records dead switches and dead
+links and answers the one path-liveness question
+(:meth:`~repro.core.policy.PolicyController.dead_element`).  The injector's
+``mark_*`` methods apply a transition there, count it, and report whether
+the state changed.  The *effects* of each event (killing tasks, rerouting
+flows, restoring capacity) are applied by the engine's recovery layer.
 
 Domain specs (:attr:`~repro.faults.spec.FaultKind.DOMAIN_FAIL` /
 ``DOMAIN_RECOVER``) are expanded *at schedule time* into one per-element
@@ -19,11 +23,11 @@ the engine's recovery layer never needs to know about domains — a rack
 outage is exactly the deterministic event sequence a hand-written timeline
 of its members would produce.
 
-Link faults add a second axis of live state: :attr:`failed_links` (hard
-down) and :attr:`degraded_links` (capacity factor < 1.0).  A link is *dead*
-— unroutable — when it is failed or degraded to factor 0.0; the engine
-masks dead links out of routing and the policy DP, and
-:meth:`assert_path_clear` enforces that no installed path crosses one.
+Links carry two factors only the injector knows: hard failure and a
+fail-slow capacity factor (< 1.0).  A link is *dead* — unroutable — when it
+is failed or degraded to factor 0.0; the injector marks exactly those links
+failed in the controller, and :meth:`FaultInjector.link_capacity_factor`
+gives the fluid network the effective capacity.
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ from .domains import FailureDomain, domains_of
 from .spec import FaultKind, FaultSpec, validate_timeline
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..cluster.state import ClusterState
+    from ..core.policy import PolicyController
     from ..topology.base import Topology
 
 __all__ = ["FaultInjector", "FAULT_EVENT_KINDS"]
@@ -71,15 +77,21 @@ def _canonical(u: int, v: int) -> tuple[int, int]:
 
 
 class FaultInjector:
-    """Validated fault timeline plus the live failed-element bookkeeping."""
+    """Validated fault timeline plus the fault transitions it applies to
+    ``cluster`` (server liveness) and ``controller`` (switch and link
+    liveness)."""
 
     def __init__(
-        self, topology: "Topology", specs: Iterable[FaultSpec]
+        self,
+        topology: "Topology",
+        specs: Iterable[FaultSpec],
+        cluster: "ClusterState",
+        controller: "PolicyController",
     ) -> None:
         self.topology = topology
         self.timeline: tuple[FaultSpec, ...] = validate_timeline(topology, specs)
-        self._failed_servers: set[int] = set()
-        self._failed_switches: set[int] = set()
+        self.cluster = cluster
+        self.controller = controller
         self._failed_links: set[tuple[int, int]] = set()
         self._degraded_links: dict[tuple[int, int], float] = {}
         self._domain_cache: dict[str, tuple[FailureDomain, ...]] = {}
@@ -154,30 +166,6 @@ class FaultInjector:
         return pushed
 
     # ------------------------------------------------------------ live state
-    @property
-    def failed_servers(self) -> frozenset[int]:
-        return frozenset(self._failed_servers)
-
-    @property
-    def failed_switches(self) -> frozenset[int]:
-        return frozenset(self._failed_switches)
-
-    @property
-    def failed_links(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self._failed_links)
-
-    @property
-    def degraded_links(self) -> dict[tuple[int, int], float]:
-        """Canonical link key → current capacity factor (< 1.0 entries only)."""
-        return dict(self._degraded_links)
-
-    @property
-    def dead_links(self) -> frozenset[tuple[int, int]]:
-        """Links that carry no traffic: failed or degraded to factor 0.0."""
-        dead = set(self._failed_links)
-        dead.update(k for k, f in self._degraded_links.items() if f == 0.0)
-        return frozenset(dead)
-
     def link_capacity_factor(self, u: int, v: int) -> float:
         """Effective capacity multiplier for the link (0.0 when failed)."""
         key = _canonical(u, v)
@@ -186,39 +174,49 @@ class FaultInjector:
         return self._degraded_links.get(key, 1.0)
 
     def mark_server_failed(self, server_id: int) -> bool:
-        """Record a server failure; False when it was already down."""
-        if server_id in self._failed_servers:
+        """Fail a server in the cluster; False when it was already down."""
+        if self.cluster.is_failed(server_id):
             return False
-        self._failed_servers.add(server_id)
+        self.cluster.fail_server(server_id)
         self.count("faults.server_fail")
         return True
 
     def mark_server_recovered(self, server_id: int) -> bool:
-        if server_id not in self._failed_servers:
+        if not self.cluster.is_failed(server_id):
             return False
-        self._failed_servers.discard(server_id)
+        self.cluster.recover_server(server_id)
         self.count("faults.server_recover")
         return True
 
     def mark_switch_failed(self, switch_id: int) -> bool:
-        if switch_id in self._failed_switches:
+        """Fail a switch in the controller; False when it was already down."""
+        if switch_id in self.controller.failed_switches:
             return False
-        self._failed_switches.add(switch_id)
+        self.controller.fail_switch(switch_id)
         self.count("faults.switch_fail")
         return True
 
     def mark_switch_recovered(self, switch_id: int) -> bool:
-        if switch_id not in self._failed_switches:
+        if switch_id not in self.controller.failed_switches:
             return False
-        self._failed_switches.discard(switch_id)
+        self.controller.recover_switch(switch_id)
         self.count("faults.switch_recover")
         return True
+
+    def _sync_link(self, key: tuple[int, int]) -> None:
+        """Mirror the link's routability into the controller: dead when
+        failed or degraded to factor 0.0."""
+        if self.link_capacity_factor(*key) == 0.0:
+            self.controller.fail_link(*key)
+        else:
+            self.controller.recover_link(*key)
 
     def mark_link_failed(self, u: int, v: int) -> bool:
         key = _canonical(u, v)
         if key in self._failed_links:
             return False
         self._failed_links.add(key)
+        self._sync_link(key)
         self.count("faults.link_fail")
         return True
 
@@ -227,6 +225,7 @@ class FaultInjector:
         if key not in self._failed_links:
             return False
         self._failed_links.discard(key)
+        self._sync_link(key)
         self.count("faults.link_recover")
         return True
 
@@ -239,39 +238,31 @@ class FaultInjector:
         if not 0.0 <= factor <= 1.0:
             raise ValueError(f"link degrade factor must be in [0, 1], got {factor}")
         key = _canonical(u, v)
-        current = self._degraded_links.get(key, 1.0)
-        if current == factor:
+        if self._degraded_links.get(key, 1.0) == factor:
             return False
         if factor == 1.0:
-            self._degraded_links.pop(key, None)
+            self._degraded_links.pop(key)
             self.count("faults.link_restore")
         else:
             self._degraded_links[key] = factor
             self.count("faults.link_degrade")
+        self._sync_link(key)
         return True
 
     def assert_path_clear(self, path: Sequence[int]) -> None:
-        """Hard guard: no path may traverse a currently-failed element.
+        """Hard guard: no path may traverse a failed switch or a dead link
+        (failed or degraded to zero).
 
         Called by the engine on every path install/reroute while faults are
         live; a violation is a recovery-layer bug, so it raises rather than
-        degrades.  Covers failed switches and dead links (failed or
-        degraded-to-zero).
+        degrades.
         """
-        for node in path:
-            if node in self._failed_switches:
-                raise RuntimeError(
-                    f"routing violation: path {tuple(path)} traverses "
-                    f"failed switch {node}"
-                )
-        dead = self.dead_links
-        if dead:
-            for a, b in zip(path, path[1:]):
-                if _canonical(a, b) in dead:
-                    raise RuntimeError(
-                        f"routing violation: path {tuple(path)} traverses "
-                        f"dead link ({a}, {b})"
-                    )
+        dead = self.controller.dead_element(path)
+        if dead is not None:
+            what = "dead link" if isinstance(dead, tuple) else "failed switch"
+            raise RuntimeError(
+                f"routing violation: path {tuple(path)} traverses {what} {dead}"
+            )
 
     # -------------------------------------------------------- parked dwell
     def note_parked(self, flow_id: int, now: float) -> None:
@@ -288,33 +279,25 @@ class FaultInjector:
         if start is not None:
             self.parked_dwell += now - start
 
-    def gauges(self) -> dict[str, float]:
-        """Instantaneous fault-state gauges for the telemetry plane.
-
-        Pure reads of the live failed-element sets — sampling them cannot
-        perturb a run (the non-perturbation contract of
-        :mod:`repro.obs.timeline`).
-        """
-        return {
-            "failed_servers": float(len(self._failed_servers)),
-            "failed_switches": float(len(self._failed_switches)),
-            "failed_links": float(len(self._failed_links)),
-            "degraded_links": float(len(self._degraded_links)),
-            "parked_dwell": self.parked_dwell,
-        }
-
     def provenance_context(self) -> dict[str, int]:
-        """Failure-state snapshot for reroute/park decision records.
-
-        Pure read of the live failed-element sets; attached by the engine
-        so each repair decision records the fault pressure it was taken
-        under."""
+        """Failure-state snapshot for fault, reroute and park decision
+        records: the fault pressure each repair decision was taken under."""
         return {
-            "failed_servers": len(self._failed_servers),
-            "failed_switches": len(self._failed_switches),
+            "failed_servers": len(self.cluster.failed_servers),
+            "failed_switches": len(self.controller.failed_switches),
             "failed_links": len(self._failed_links),
             "degraded_links": len(self._degraded_links),
         }
+
+    def gauges(self) -> dict[str, float]:
+        """Instantaneous fault-state gauges for the telemetry plane.
+
+        Pure reads — sampling them cannot perturb a run (the
+        non-perturbation contract of :mod:`repro.obs.timeline`).
+        """
+        gauges = {k: float(v) for k, v in self.provenance_context().items()}
+        gauges["parked_dwell"] = self.parked_dwell
+        return gauges
 
     # -------------------------------------------------------------- counters
     def count(self, name: str, value: int = 1) -> None:

@@ -58,7 +58,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from ..core.policy import PolicyController
     from ..core.preference import PreferenceMatrix
     from ..core.taa import TAAInstance
-    from ..faults.injector import FaultInjector
     from ..simulator.network import FlowNetwork
 
 __all__ = ["InvariantViolation", "InvariantError", "InvariantChecker"]
@@ -325,39 +324,29 @@ class InvariantChecker:
     def check_path_liveness(
         self,
         network: "FlowNetwork",
-        injector: "FaultInjector",
+        controller: "PolicyController",
         where: str = "",
     ) -> list[InvariantViolation]:
         """No active flow may traverse a failed switch or a dead link.
 
         The routing half of the survivability contract: the engine's
         recovery layer must have rerouted or parked every flow touching a
-        dead element before simulated time moves again.
+        dead element before simulated time moves again.  Liveness is the
+        controller's (:meth:`PolicyController.dead_element`).
         """
         found: list[InvariantViolation] = []
-        failed = injector.failed_switches
-        dead = injector.dead_links
-        if not failed and not dead:
+        if not controller.has_failures:
             return self._emit(found)
         for flow in network.active_flows:
-            for node in flow.path:
-                if node in failed:
-                    found.append(InvariantViolation(
-                        "path-liveness",
-                        f"flow {flow.flow_id}: path {flow.path} traverses "
-                        f"failed switch {node}",
-                        where,
-                    ))
-                    break
-            for a, b in zip(flow.path, flow.path[1:]):
-                if ((a, b) if a <= b else (b, a)) in dead:
-                    found.append(InvariantViolation(
-                        "path-liveness",
-                        f"flow {flow.flow_id}: path {flow.path} traverses "
-                        f"dead link ({a}, {b})",
-                        where,
-                    ))
-                    break
+            dead = controller.dead_element(flow.path)
+            if dead is not None:
+                what = "dead link" if isinstance(dead, tuple) else "failed switch"
+                found.append(InvariantViolation(
+                    "path-liveness",
+                    f"flow {flow.flow_id}: path {flow.path} traverses "
+                    f"{what} {dead}",
+                    where,
+                ))
         return self._emit(found)
 
     def check_quiescent(

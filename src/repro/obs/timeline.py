@@ -180,8 +180,6 @@ class TimelineRecorder:
             return
         self._finished = True
         self._sample(sim, t_end)
-        if self.sink is not None:
-            self.sink.close()
 
     def _sample(self, sim: "MapReduceSimulator", t: float) -> None:
         network = sim.network

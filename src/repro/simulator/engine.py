@@ -67,7 +67,7 @@ from ..schedulers.base import Scheduler, SchedulingContext
 from ..speculation.detector import AttemptProgress, SpeculationConfig
 from ..speculation.runtime import SpeculationState
 from ..topology.base import Topology
-from ..topology.routing import invalidate_topology_caches, iter_paths
+from ..topology.routing import iter_paths
 from ..workload.admission import AdmissionConfig, AdmissionController
 from .events import Event, EventKind, EventQueue
 from .metrics import (
@@ -81,14 +81,34 @@ from .network import DelayModel, FlowNetwork
 
 __all__ = ["SimulationConfig", "MapReduceSimulator", "run_simulation"]
 
+#: Rack-local / remote input fetch penalties as multiples of
+#: split_size / server_link_bandwidth.  Input streaming overlaps map compute
+#: in Hadoop, so the penalty is a fraction of the full transfer.
+RACK_READ_FACTOR = 0.25
+REMOTE_READ_FACTOR = 0.5
+#: HDFS block replicas per input split.
+HDFS_REPLICATION = 3
+#: Base delay for re-placement backoff: attempt ``k`` waits
+#: ``RETRY_BACKOFF * 2**(k-1)`` (capped) before trying again.
+RETRY_BACKOFF = 0.05
+
 #: Tracer counter name per event kind (``sim.event.<kind>``).
 _EVENT_COUNTERS = {kind: f"sim.event.{kind.name.lower()}" for kind in EventKind}
 
-#: Link fault events -> (injector transition method, provenance reason).
-_LINK_EVENTS = {
-    EventKind.LINK_FAIL: ("mark_link_failed", "link-fail"),
-    EventKind.LINK_RECOVER: ("mark_link_recovered", "link-recover"),
-    EventKind.LINK_DEGRADE: ("mark_link_degraded", "link-degrade"),
+#: Fabric fault events -> (injector transition method, provenance reason,
+#: element kind).
+_FABRIC_EVENTS = {
+    EventKind.SERVER_FAIL: ("mark_server_failed", "server-fail", "server"),
+    EventKind.SERVER_RECOVER: (
+        "mark_server_recovered", "server-recover", "server"
+    ),
+    EventKind.SWITCH_FAIL: ("mark_switch_failed", "switch-fail", "switch"),
+    EventKind.SWITCH_RECOVER: (
+        "mark_switch_recovered", "switch-recover", "switch"
+    ),
+    EventKind.LINK_FAIL: ("mark_link_failed", "link-fail", "link"),
+    EventKind.LINK_RECOVER: ("mark_link_recovered", "link-recover", "link"),
+    EventKind.LINK_DEGRADE: ("mark_link_degraded", "link-degrade", "link"),
 }
 
 
@@ -101,12 +121,6 @@ class SimulationConfig:
     map_slots_per_job: int | None = None
     #: Shuffle-rate normalisation: flow demand = size / rate_epoch.
     rate_epoch: float = 1.0
-    #: Rack-local / remote input fetch penalties as multiples of
-    #: split_size / server_link_bandwidth.  Input streaming overlaps map
-    #: compute in Hadoop, so the penalty is a fraction of the full transfer.
-    rack_read_factor: float = 0.25
-    remote_read_factor: float = 0.5
-    hdfs_replication: int = 3
     #: Server heterogeneity: compute speeds are sampled uniformly from
     #: ``[1 - spread, 1 + spread]`` (0 = homogeneous cluster).  Models the
     #: heterogeneous environments of the paper's related work (Tarazu, LATE).
@@ -120,9 +134,6 @@ class SimulationConfig:
     #: How many failure-induced re-executions a single task may consume
     #: before the run aborts (placement backoffs do not count).
     max_task_retries: int = 3
-    #: Base delay for re-placement backoff: attempt ``k`` waits
-    #: ``retry_backoff * 2**(k-1)`` (capped) before trying again.
-    retry_backoff: float = 0.05
     #: Speculative-execution config (None = speculation off; no SPECULATE
     #: events are scheduled and every speculation hook is skipped).
     speculation: SpeculationConfig | None = None
@@ -237,7 +248,7 @@ class MapReduceSimulator:
         self.metrics = MetricsCollector()
         self.hdfs = HdfsModel(
             topology,
-            replication=self.config.hdfs_replication,
+            replication=HDFS_REPLICATION,
             seed=self.config.seed,
         )
         self._rng = np.random.default_rng(self.config.seed)
@@ -260,7 +271,9 @@ class MapReduceSimulator:
         #: Fault subsystem (None on fault-free runs: every recovery hook is
         #: then skipped, keeping the fast path bit-identical).
         self.faults: FaultInjector | None = (
-            FaultInjector(topology, self.config.faults)
+            FaultInjector(
+                topology, self.config.faults, self.cluster, self.controller
+            )
             if self.config.faults
             else None
         )
@@ -340,6 +353,14 @@ class MapReduceSimulator:
         self._net_time = 0.0
 
     # ------------------------------------------------------------------- run
+    def close(self) -> None:
+        """Close the decision-log and timeline sinks (idempotent; a run
+        closes them on exit, raising or not)."""
+        if self.provenance is not None:
+            self.provenance.close()
+        if self.timeline is not None and self.timeline.sink is not None:
+            self.timeline.sink.close()
+
     def run(self) -> MetricsCollector:
         """Execute to completion and return the metrics collector."""
         for spec in self.jobs:
@@ -367,28 +388,32 @@ class MapReduceSimulator:
             jobs=len(self.jobs),
             servers=self.topology.num_servers,
         )
-        while self._queue:
-            event = self._queue.pop()
-            events += 1
-            if events > self.config.max_events:
-                raise RuntimeError("simulation exceeded max_events — livelock?")
+        try:
+            while self._queue:
+                event = self._queue.pop()
+                events += 1
+                if events > self.config.max_events:
+                    raise RuntimeError(
+                        "simulation exceeded max_events — livelock?"
+                    )
+                if recorder is not None:
+                    # Pre-dispatch sampling: state is piecewise constant
+                    # since the previous event, so the grid points covered
+                    # by this event's timestamp see exactly the live
+                    # allocation.
+                    recorder.observe(self, event)
+                if prov is not None:
+                    # Stamp the audit clock so hooks deep inside schedulers
+                    # and handlers never need one of their own.
+                    prov.now = event.time
+                tracer.count(_EVENT_COUNTERS[event.kind])
+                with tracer.timeit("sim.dispatch"):
+                    self._dispatch(event)
+            self.events_processed = events
             if recorder is not None:
-                # Pre-dispatch sampling: state is piecewise constant since
-                # the previous event, so the grid points covered by this
-                # event's timestamp see exactly the live allocation.
-                recorder.observe(self, event)
-            if prov is not None:
-                # Stamp the audit clock so hooks deep inside schedulers and
-                # handlers never need one of their own.
-                prov.now = event.time
-            tracer.count(_EVENT_COUNTERS[event.kind])
-            with tracer.timeit("sim.dispatch"):
-                self._dispatch(event)
-        self.events_processed = events
-        if recorder is not None:
-            recorder.finish(self, self._net_time)
-        if prov is not None:
-            prov.close()
+                recorder.finish(self, self._net_time)
+        finally:
+            self.close()
         unfinished = [j for j in self._jobs_by_id.values() if not j.done]
         if self.admission is not None:
             # Online plane: jobs still sitting in admission queues when the
@@ -456,16 +481,8 @@ class MapReduceSimulator:
             self._maybe_rebalance()
         elif event.kind is EventKind.REDUCE_DONE:
             self._on_reduce_done(event.time, *event.payload)
-        elif event.kind is EventKind.SERVER_FAIL:
-            self._on_server_fail(event.time, event.payload)
-        elif event.kind is EventKind.SERVER_RECOVER:
-            self._on_server_recover(event.time, event.payload)
-        elif event.kind is EventKind.SWITCH_FAIL:
-            self._on_switch_fail(event.time, event.payload)
-        elif event.kind is EventKind.SWITCH_RECOVER:
-            self._on_switch_recover(event.time, event.payload)
-        elif event.kind in _LINK_EVENTS:
-            self._on_link_event(event.time, event.kind, *event.payload)
+        elif event.kind in _FABRIC_EVENTS:
+            self._on_fabric_event(event.time, event.kind, event.payload)
         elif event.kind is EventKind.TASK_SLOWDOWN:
             self._on_task_slowdown(event.time, *event.payload)
         elif event.kind is EventKind.TASK_RETRY:
@@ -489,7 +506,7 @@ class MapReduceSimulator:
                 # Fault-plane checkpoint: no active flow may be traversing a
                 # failed switch or a dead link at this instant.
                 _OBS.checker.check_path_liveness(
-                    self.network, self.faults, where=f"advance t={now:.6g}"
+                    self.network, self.controller, where=f"advance t={now:.6g}"
                 )
 
     def _schedule_network_checkpoint(self, now: float) -> None:
@@ -911,9 +928,9 @@ class MapReduceSimulator:
             for n in self.topology.neighbors(server)
         )
         factor = (
-            self.config.rack_read_factor
+            RACK_READ_FACTOR
             if locality == "rack-local"
-            else self.config.remote_read_factor
+            else REMOTE_READ_FACTOR
         )
         return factor * split / bandwidth
 
@@ -1052,9 +1069,7 @@ class MapReduceSimulator:
         result is always a path and the logic is byte-for-byte the
         pre-fault behaviour.
         """
-        faulty = self.faults is not None and bool(
-            self.faults.failed_switches or self.faults.dead_links
-        )
+        faulty = self.controller.has_failures
         path, reason, detail = self._route_impl(flow, src, dst, faulty)
         if path is not None and faulty:
             self.faults.assert_path_clear(path)
@@ -1150,23 +1165,11 @@ class MapReduceSimulator:
         Lazy: a caller that takes only the first path stops enumerating
         there.
         """
-        assert self.faults is not None
-        failed = self.faults.failed_switches
-        dead = self.faults.dead_links
-
-        def alive_path(p: tuple[int, ...]) -> bool:
-            if any(node in failed for node in p):
-                return False
-            if dead:
-                for a, b in zip(p, p[1:]):
-                    if ((a, b) if a <= b else (b, a)) in dead:
-                        return False
-            return True
-
+        dead_element = self.controller.dead_element
         for slack in range(max_slack + 1):
             found = False
             for p in iter_paths(self.topology, src, dst, slack, limit=64):
-                if alive_path(p):
+                if dead_element(p) is None:
                     found = True
                     yield p
             if found:
@@ -1179,19 +1182,65 @@ class MapReduceSimulator:
     # placements, controller policies) describes a state the remaining
     # simulation can drive to completion — no task or byte silently lost.
 
-    def _on_server_fail(self, now: float, server_id: int) -> None:
+    def _on_fabric_event(self, now: float, kind: EventKind, payload) -> None:
+        """Server, switch or link fault: the injector applies the transition
+        to the element's owner (cluster or controller); this path only
+        recovers from it.
+
+        A link degrade scales capacity to ``factor`` × nominal: 0.0 kills
+        the link (flows reroute or park exactly as for a hard
+        ``link-fail``), anything in (0, 1) just squeezes the max-min
+        allocation, and 1.0 restores nominal bandwidth.  When a switch or
+        link dies every flow crossing it is rerouted or parked; when one
+        comes back the parking lot is retried.
+        """
         injector = self.faults
         assert injector is not None
-        if not injector.mark_server_failed(server_id):
+        mark, reason, element = _FABRIC_EVENTS[kind]
+        args = payload if element == "link" else (payload,)
+        was_dead = element == "link" and self.controller.is_link_failed(
+            *args[:2]
+        )
+        if not getattr(injector, mark)(*args):
             return
+        where = {element: list(args[:2]) if element == "link" else payload}
         if self.provenance is not None:
             self.provenance.emit(
                 "fault",
-                "server-fail",
-                server=server_id,
+                reason,
+                **where,
+                **({"factor": args[2]} if len(args) == 3 else {}),
                 **injector.provenance_context(),
             )
-        self.cluster.fail_server(server_id)
+        if element == "server":
+            if kind is EventKind.SERVER_FAIL:
+                self._lose_server(now, payload)
+            else:
+                self.server_speeds[payload] = self._base_speeds[payload]
+                # Capacity returned: wake every task stuck in placement
+                # backoff (the token bump inside _schedule_retry stales
+                # their backoff events).
+                for cid in sorted(self._backoff):
+                    self._schedule_retry(now, cid)
+                self._try_admit(now)
+            return
+        if element == "link":
+            u, v = args[:2]
+            self.network.set_link_capacity_factor(
+                u, v, injector.link_capacity_factor(u, v)
+            )
+            dead = self.controller.is_link_failed(u, v)
+            if dead == was_dead:
+                return  # a degrade that left the link routable (or dead)
+        else:
+            dead = kind is EventKind.SWITCH_FAIL
+        if dead:
+            self._reroute_or_park(now, f"{element}-fail-reroute", **where)
+        else:
+            self._unpark_flows(now)
+
+    def _lose_server(self, now: float, server_id: int) -> None:
+        """A server died: re-execute its tasks and its stored map outputs."""
         # Kill resident tasks.  Completed maps still holding their wave slot
         # (output present, or lost and deferred) are not running tasks: the
         # lost-output sweep below owns them.  Classify every container
@@ -1229,123 +1278,17 @@ class MapReduceSimulator:
         for job, cid, mi in lost:
             self._restart_map(now, job, cid, mi)
 
-    def _on_server_recover(self, now: float, server_id: int) -> None:
+    def _reroute_or_park(self, now: float, reason: str, **where) -> None:
+        """Reroute every unfinished flow whose path crosses a dead element;
+        park the ones with no remaining live path until a recovery
+        reconnects their endpoints.  Between events no live flow crosses a
+        dead element (the path-liveness invariant), so the flows found here
+        are exactly those crossing the element that just died."""
         injector = self.faults
         assert injector is not None
-        if not injector.mark_server_recovered(server_id):
-            return
-        if self.provenance is not None:
-            self.provenance.emit(
-                "fault",
-                "server-recover",
-                server=server_id,
-                **injector.provenance_context(),
-            )
-        self.cluster.recover_server(server_id)
-        self.server_speeds[server_id] = self._base_speeds[server_id]
-        # Capacity returned: wake every task stuck in placement backoff (the
-        # token bump inside _schedule_retry stales their backoff events).
-        for cid in sorted(self._backoff):
-            self._schedule_retry(now, cid)
-        self._try_admit(now)
-
-    def _on_switch_fail(self, now: float, switch_id: int) -> None:
-        injector = self.faults
-        assert injector is not None
-        if not injector.mark_switch_failed(switch_id):
-            return
-        if self.provenance is not None:
-            self.provenance.emit(
-                "fault",
-                "switch-fail",
-                switch=switch_id,
-                **injector.provenance_context(),
-            )
-        self.controller.fail_switch(switch_id)
-        invalidate_topology_caches(self.topology)
-        self._reroute_or_park(
-            now, lambda path: switch_id in path, "switch-fail-reroute",
-            switch=switch_id,
-        )
-
-    def _on_switch_recover(self, now: float, switch_id: int) -> None:
-        injector = self.faults
-        assert injector is not None
-        if not injector.mark_switch_recovered(switch_id):
-            return
-        if self.provenance is not None:
-            self.provenance.emit(
-                "fault",
-                "switch-recover",
-                switch=switch_id,
-                **injector.provenance_context(),
-            )
-        self.controller.recover_switch(switch_id)
-        invalidate_topology_caches(self.topology)
-        self._unpark_flows(now)
-
-    def _on_link_event(
-        self, now: float, kind: EventKind, u: int, v: int, *factor: float
-    ) -> None:
-        """Link fault: hard fail, recovery, or fail-slow degrade.
-
-        A degrade scales capacity to ``factor`` × nominal: 0.0 kills the
-        link (flows reroute or park exactly as for a hard ``link-fail``),
-        anything in (0, 1) just squeezes the max-min allocation, and 1.0
-        restores nominal bandwidth.
-
-        The injector is the source of truth: the fluid network's capacity
-        follows :meth:`FaultInjector.link_capacity_factor` and the routing
-        mask follows dead-link membership (failed, or degraded to factor
-        0.0).  On a live→dead transition every flow crossing the link is
-        rerouted or parked; dead→live recoveries retry the parking lot.
-        """
-        injector = self.faults
-        assert injector is not None
-        mark, reason = _LINK_EVENTS[kind]
-        key = (u, v) if u <= v else (v, u)
-        was_dead = key in injector.dead_links
-        if not getattr(injector, mark)(u, v, *factor):
-            return
-        if self.provenance is not None:
-            self.provenance.emit(
-                "fault",
-                reason,
-                link=[u, v],
-                **({"factor": factor[0]} if factor else {}),
-                **injector.provenance_context(),
-            )
-        self.network.set_link_capacity_factor(
-            u, v, injector.link_capacity_factor(u, v)
-        )
-        dead = key in injector.dead_links
-        if dead == was_dead:
-            return
-        if dead:
-            self.controller.fail_link(u, v)
-            invalidate_topology_caches(self.topology)
-            self._reroute_or_park(
-                now,
-                lambda path: u in path and v in path and any(
-                    ((a, b) if a <= b else (b, a)) == key
-                    for a, b in zip(path, path[1:])
-                ),
-                "link-fail-reroute",
-                link=[u, v],
-            )
-        else:
-            self.controller.recover_link(u, v)
-            invalidate_topology_caches(self.topology)
-            self._unpark_flows(now)
-
-    def _reroute_or_park(self, now: float, crosses, reason: str, **where) -> None:
-        """Reroute every unfinished flow whose path ``crosses`` a dead
-        element; park the ones with no remaining live path until a
-        recovery reconnects their endpoints."""
-        injector = self.faults
-        assert injector is not None
+        dead_element = self.controller.dead_element
         for active in self.network.active_flows:
-            if active.remaining <= 0.0 or not crosses(active.path):
+            if active.remaining <= 0.0 or dead_element(active.path) is None:
                 continue  # already finished awaiting drain, or unaffected
             flow = self._flow_objects[active.flow_id]
             path = self._route(flow, active.path[0], active.path[-1])
@@ -1603,7 +1546,7 @@ class MapReduceSimulator:
             # recovery also re-triggers the retry immediately).
             exponent = self._backoff.get(cid, 0)
             self._backoff[cid] = exponent + 1
-            delay = self.config.retry_backoff * (2.0 ** min(exponent, 20))
+            delay = RETRY_BACKOFF * (2.0 ** min(exponent, 20))
             if self.provenance is not None:
                 self.provenance.emit(
                     "retry",

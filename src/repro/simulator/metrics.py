@@ -20,106 +20,11 @@ import numpy as np
 __all__ = [
     "JobRecord",
     "FlowRecord",
-    "P2Quantile",
     "RejectionRecord",
     "TaskRecord",
     "MetricsCollector",
     "jain_fairness",
 ]
-
-
-class P2Quantile:
-    """Streaming quantile estimator (P-squared, Jain & Chlamtac 1985).
-
-    Maintains five markers — min, two intermediate quantiles, the target
-    quantile and max — and adjusts their heights with a piecewise-parabolic
-    fit as observations arrive, so a running p99 costs O(1) memory instead
-    of retaining every sample.  Below five observations the estimate is the
-    exact percentile of what has been seen.
-
-    This is the memory-bounded *alternative* behind
-    ``MetricsCollector(streaming_quantiles=True)``; the exact
-    retain-everything computation stays the default, and the test suite
-    cross-checks the two against each other.
-    """
-
-    __slots__ = ("q", "count", "_init", "_h", "_n", "_np", "_dn")
-
-    def __init__(self, q: float) -> None:
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"quantile must be in (0, 1), got {q}")
-        self.q = float(q)
-        self.count = 0
-        self._init: list[float] = []
-        self._h: list[float] = []  # marker heights
-        self._n: list[float] = []  # actual marker positions (1-based)
-        self._np: list[float] = []  # desired marker positions
-        self._dn = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-
-    def add(self, x: float) -> None:
-        """Fold one observation into the estimate."""
-        x = float(x)
-        self.count += 1
-        if self.count <= 5:
-            self._init.append(x)
-            if self.count == 5:
-                self._h = sorted(self._init)
-                self._n = [1.0, 2.0, 3.0, 4.0, 5.0]
-                q = self.q
-                self._np = [
-                    1.0,
-                    1.0 + 2.0 * q,
-                    1.0 + 4.0 * q,
-                    3.0 + 2.0 * q,
-                    5.0,
-                ]
-            return
-        h, n = self._h, self._n
-        if x < h[0]:
-            h[0] = x
-            k = 0
-        elif x >= h[4]:
-            h[4] = x
-            k = 3
-        else:
-            k = 0
-            while x >= h[k + 1]:
-                k += 1
-        for i in range(k + 1, 5):
-            n[i] += 1.0
-        for i in range(5):
-            self._np[i] += self._dn[i]
-        for i in (1, 2, 3):
-            d = self._np[i] - n[i]
-            if (d >= 1.0 and n[i + 1] - n[i] > 1.0) or (
-                d <= -1.0 and n[i - 1] - n[i] < -1.0
-            ):
-                d = 1.0 if d > 0 else -1.0
-                candidate = self._parabolic(i, d)
-                if not h[i - 1] < candidate < h[i + 1]:
-                    candidate = self._linear(i, d)
-                h[i] = candidate
-                n[i] += d
-
-    def _parabolic(self, i: int, d: float) -> float:
-        h, n = self._h, self._n
-        return h[i] + d / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + d) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - d) * (h[i] - h[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, d: float) -> float:
-        h, n = self._h, self._n
-        j = i + int(d)
-        return h[i] + d * (h[j] - h[i]) / (n[j] - n[i])
-
-    def value(self) -> float:
-        """Current estimate of the target quantile; 0.0 with no data."""
-        if self.count == 0:
-            return 0.0
-        if self.count < 5:
-            return float(np.percentile(self._init, self.q * 100.0))
-        return self._h[2]
 
 
 def jain_fairness(values) -> float:
@@ -257,31 +162,17 @@ class RejectionRecord:
 
 
 class MetricsCollector:
-    """Accumulates records during a run and answers aggregate queries.
+    """Accumulates records during a run and answers aggregate queries."""
 
-    ``streaming_quantiles=True`` opts the tail queries (``p99_jct`` /
-    p99 slowdown) into O(1)-memory :class:`P2Quantile` estimators fed at
-    record time instead of exact percentiles over the retained record
-    lists.  The exact computation stays the default — streaming is for
-    long open-loop runs where the record lists themselves get bounded or
-    dropped.
-    """
-
-    def __init__(self, *, streaming_quantiles: bool = False) -> None:
+    def __init__(self) -> None:
         self.jobs: list[JobRecord] = []
         self.tasks: list[TaskRecord] = []
         self.flows: list[FlowRecord] = []
         self.rejections: list[RejectionRecord] = []
-        self.streaming_quantiles = streaming_quantiles
-        self._p2_jct = P2Quantile(0.99) if streaming_quantiles else None
-        self._p2_slowdown = P2Quantile(0.99) if streaming_quantiles else None
 
     # -------------------------------------------------------------- recording
     def record_job(self, record: JobRecord) -> None:
         self.jobs.append(record)
-        if self._p2_jct is not None and self._p2_slowdown is not None:
-            self._p2_jct.add(record.completion_time)
-            self._p2_slowdown.add(record.slowdown)
 
     def record_task(self, record: TaskRecord) -> None:
         self.tasks.append(record)
@@ -307,14 +198,10 @@ class MetricsCollector:
         """JCT percentile ``q`` in [0, 100]; 0.0 on an empty record set.
 
         A single-sample distribution returns that sample for every ``q`` —
-        never NaN — so report code can call this unconditionally.  With
-        ``streaming_quantiles`` on, ``q == 99`` reads the :class:`P2Quantile`
-        estimator; every other ``q`` stays exact.
+        never NaN — so report code can call this unconditionally.
         """
         if not 0.0 <= q <= 100.0:
             raise ValueError(f"percentile must be in [0, 100], got {q}")
-        if q == 99.0 and self._p2_jct is not None:
-            return self._p2_jct.value()
         times = self.job_completion_times()
         return float(np.percentile(times, q)) if times.size else 0.0
 
@@ -332,15 +219,9 @@ class MetricsCollector:
         return float(values.mean()) if values.size else 0.0
 
     def slowdown_percentile(self, q: float) -> float:
-        """Slowdown percentile ``q`` in [0, 100]; 0.0 on an empty set.
-
-        Like :meth:`jct_percentile`, ``q == 99`` under
-        ``streaming_quantiles`` reads the streaming estimator.
-        """
+        """Slowdown percentile ``q`` in [0, 100]; 0.0 on an empty set."""
         if not 0.0 <= q <= 100.0:
             raise ValueError(f"percentile must be in [0, 100], got {q}")
-        if q == 99.0 and self._p2_slowdown is not None:
-            return self._p2_slowdown.value()
         values = self.slowdowns()
         return float(np.percentile(values, q)) if values.size else 0.0
 

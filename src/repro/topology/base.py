@@ -9,8 +9,7 @@ the topology-neutral building blocks those generators share:
   rescheduled switches to preserve the type) and a *capacity* bounding the sum
   of flow rates it may carry.
 * :class:`Server` — a compute host with a resource capacity vector.
-* :class:`Link` — an undirected physical link with full-duplex bandwidth and a
-  propagation latency.
+* :class:`Link` — an undirected physical link with full-duplex bandwidth.
 * :class:`Topology` — the graph of servers, switches and links, with the
   queries every other layer needs: BFS hop distances, shortest paths, the
   switch sequence of a path, and tier metadata.
@@ -106,22 +105,18 @@ class Server:
 class Link:
     """An undirected physical link.
 
-    ``bandwidth`` is the full-duplex capacity per direction (rate units) and
-    ``latency`` the propagation delay contributed by traversing the link.
+    ``bandwidth`` is the full-duplex capacity per direction (rate units).
     """
 
     u: int
     v: int
     bandwidth: float
-    latency: float = 1.0
 
     def __post_init__(self) -> None:
         if self.u == self.v:
             raise ValueError("self-links are not allowed")
         if self.bandwidth <= 0:
             raise ValueError("link bandwidth must be positive")
-        if self.latency < 0:
-            raise ValueError("link latency must be non-negative")
 
     @property
     def key(self) -> tuple[int, int]:
@@ -313,12 +308,6 @@ class Topology:
     def switches_on_path(self, path: Sequence[int]) -> tuple[int, ...]:
         """The subsequence of ``path`` that are switches."""
         return tuple(n for n in path if n in self._switches)
-
-    def path_latency(self, path: Sequence[int]) -> float:
-        """Sum of link latencies along a node path."""
-        return float(
-            sum(self.link(a, b).latency for a, b in zip(path, path[1:]))
-        )
 
     def path_links(self, path: Sequence[int]) -> tuple[tuple[int, int], ...]:
         """Directed (u, v) pairs for each hop of a node path."""

@@ -29,7 +29,6 @@ class BCubeConfig:
     k: int = 1
     switch_capacity: float = 100.0
     link_bandwidth: float = 10.0
-    switch_latency: float = 1.0
     server_resources: tuple[float, ...] = (2.0,)
 
     def __post_init__(self) -> None:
@@ -102,7 +101,6 @@ def build_bcube(config: BCubeConfig | None = None, **kwargs: object) -> Topology
                     u=sid,
                     v=switch_ids[level][switch_index],
                     bandwidth=config.link_bandwidth,
-                    latency=config.switch_latency,
                 )
             )
 

@@ -28,7 +28,6 @@ class FatTreeConfig:
     core_capacity: float = 400.0
     server_link_bandwidth: float = 10.0
     fabric_link_bandwidth: float = 40.0
-    switch_latency: float = 1.0
     server_resources: tuple[float, ...] = (2.0,)
 
     def __post_init__(self) -> None:
@@ -115,7 +114,6 @@ def build_fattree(config: FatTreeConfig | None = None, **kwargs: object) -> Topo
                 u=sid,
                 v=edge_ids[pod][edge],
                 bandwidth=config.server_link_bandwidth,
-                latency=config.switch_latency,
             )
         )
 
@@ -128,7 +126,6 @@ def build_fattree(config: FatTreeConfig | None = None, **kwargs: object) -> Topo
                         u=e_id,
                         v=a_id,
                         bandwidth=config.fabric_link_bandwidth,
-                        latency=config.switch_latency,
                     )
                 )
 
@@ -142,7 +139,6 @@ def build_fattree(config: FatTreeConfig | None = None, **kwargs: object) -> Topo
                         u=a_id,
                         v=core_ids[c],
                         bandwidth=config.fabric_link_bandwidth,
-                        latency=config.switch_latency,
                     )
                 )
 

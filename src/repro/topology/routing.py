@@ -29,8 +29,8 @@ from .base import Topology, UNREACHABLE
 
 #: Per-topology memo of stage decompositions, keyed by the topology object
 #: (weakly — entries vanish with their topology) then (src, dst).
-#: Topologies are immutable after construction, so entries never go stale.
-#: A plain id(topology)-keyed dict would be wrong: once a topology is
+#: Topologies are immutable after construction, so entries never go stale;
+#: failed switches and links are masked when a path search runs.  A plain id(topology)-keyed dict would be wrong: once a topology is
 #: garbage-collected a *new* topology can reuse the same id() and silently
 #: inherit the old one's stages, making the policy DP walk a graph that no
 #: longer exists (surfaced by the randomized property suite, which builds
@@ -60,25 +60,7 @@ __all__ = [
     "iter_paths",
     "enumerate_paths",
     "count_shortest_paths",
-    "invalidate_topology_caches",
 ]
-
-
-def invalidate_topology_caches(topology: Topology) -> None:
-    """Drop every memoised routing structure for ``topology``.
-
-    The stage/layer caches are purely structural (which nodes lie on which
-    shortest paths) and the topology graph itself is immutable, so in normal
-    operation they never go stale.  The simulator still calls this on every
-    switch fail/recover and on every link fail/recover (a link degraded to
-    zero capacity counts as failed): availability is masked dynamically in
-    the policy DP, but explicitly dropping the memos keeps the contract
-    simple ("after a fabric-state change, no routing memo survives") and
-    bounds memory on long fault timelines.  Safe to call at any time — the
-    structures rebuild lazily on next use.
-    """
-    for cache in (_STAGE_CACHE, _STAGE_ADJ_CACHE, _LAYER_CACHE):
-        cache.pop(topology, None)
 
 
 def shortest_path_stages(

@@ -43,7 +43,6 @@ class TreeConfig:
     core_capacity: float = 400.0
     server_link_bandwidth: float = 10.0
     fabric_link_bandwidth: float = 40.0
-    switch_latency: float = 1.0
     server_resources: tuple[float, ...] = (2.0,)
 
     def __post_init__(self) -> None:
@@ -130,7 +129,6 @@ def build_tree(config: TreeConfig | None = None, **kwargs: object) -> Topology:
                     u=server.node_id,
                     v=access_id,
                     bandwidth=config.server_link_bandwidth,
-                    latency=config.switch_latency,
                 )
             )
 
@@ -145,7 +143,6 @@ def build_tree(config: TreeConfig | None = None, **kwargs: object) -> Topology:
                             u=child_id,
                             v=parent_id,
                             bandwidth=config.fabric_link_bandwidth,
-                            latency=config.switch_latency,
                         )
                     )
 

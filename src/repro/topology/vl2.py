@@ -39,7 +39,6 @@ class VL2Config:
     intermediate_capacity: float = 400.0
     server_link_bandwidth: float = 10.0
     fabric_link_bandwidth: float = 40.0
-    switch_latency: float = 1.0
     server_resources: tuple[float, ...] = (2.0,)
 
     def __post_init__(self) -> None:
@@ -117,7 +116,6 @@ def build_vl2(config: VL2Config | None = None, **kwargs: object) -> Topology:
                 u=server.node_id,
                 v=tor_ids[tor],
                 bandwidth=config.server_link_bandwidth,
-                latency=config.switch_latency,
             )
         )
 
@@ -130,7 +128,6 @@ def build_vl2(config: VL2Config | None = None, **kwargs: object) -> Topology:
                     u=tor_id,
                     v=agg_ids[agg],
                     bandwidth=config.fabric_link_bandwidth,
-                    latency=config.switch_latency,
                 )
             )
 
@@ -142,7 +139,6 @@ def build_vl2(config: VL2Config | None = None, **kwargs: object) -> Topology:
                     u=a_id,
                     v=i_id,
                     bandwidth=config.fabric_link_bandwidth,
-                    latency=config.switch_latency,
                 )
             )
 

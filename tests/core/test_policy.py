@@ -266,3 +266,30 @@ class TestCostModel:
         cap = tree.switch(w).capacity
         assert model.switch_cost(tree, w, cap) == pytest.approx(2.0)
         assert model.switch_cost(tree, w, cap / 2) == pytest.approx(1.5)
+
+
+class TestDeadElement:
+    """The one path-liveness predicate: failed switches first, then dead
+    hops in path order."""
+
+    def test_live_path_and_no_failures(self, controller):
+        path, _ = controller.optimal_path(0, 15, 1.0)
+        assert not controller.has_failures
+        assert controller.dead_element(path) is None
+
+    def test_failed_switch_reported_before_dead_link(self, controller):
+        path, _ = controller.optimal_path(0, 15, 1.0)
+        controller.fail_link(path[0], path[1])
+        assert controller.has_failures
+        assert controller.dead_element(path) == (path[0], path[1])
+        controller.fail_switch(path[2])
+        assert controller.dead_element(path) == path[2]
+
+    def test_dead_hop_in_path_order(self, controller):
+        path, _ = controller.optimal_path(0, 15, 1.0)
+        controller.fail_link(path[2], path[1])
+        assert controller.dead_element(path) == (path[1], path[2])
+        assert controller.dead_element(path[::-1]) == (path[2], path[1])
+        controller.recover_link(path[1], path[2])
+        assert controller.dead_element(path) is None
+        assert not controller.has_failures

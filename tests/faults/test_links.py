@@ -3,11 +3,13 @@
 import pytest
 
 from repro.core.policy import NoFeasiblePathError, PolicyController
-from repro.faults import FaultInjector, FaultKind, FaultSpec, generate_timeline
+from repro.faults import FaultKind, FaultSpec, generate_timeline
 from repro.mapreduce import WorkloadGenerator
 from repro.obs import InvariantChecker, observe
 from repro.schedulers import make_scheduler
 from repro.simulator import FlowNetwork, MapReduceSimulator, SimulationConfig
+
+from .test_injector import make_injector
 
 
 def run_link_timeline(topology, timeline, scheduler="hit", seed=7, jobs=3):
@@ -124,31 +126,44 @@ class TestPolicyLinkMask:
 
 class TestInjectorLinkState:
     def test_fail_recover_cycle(self, small_tree):
-        injector = FaultInjector(small_tree, ())
+        injector = make_injector(small_tree)
         u, v = small_tree.links[0].key
         assert injector.mark_link_failed(u, v)
-        assert (u, v) in injector.dead_links
+        assert injector.controller.failed_links == {(u, v)}
         assert injector.link_capacity_factor(u, v) == 0.0
         assert not injector.mark_link_failed(u, v)  # idempotent
         assert injector.mark_link_recovered(u, v)
-        assert not injector.dead_links
+        assert not injector.controller.failed_links
         assert injector.counters["faults.link_fail"] == 1
         assert injector.counters["faults.link_recover"] == 1
 
     def test_degrade_to_zero_is_dead(self, small_tree):
-        injector = FaultInjector(small_tree, ())
+        injector = make_injector(small_tree)
         u, v = small_tree.links[0].key
         injector.mark_link_degraded(u, v, 0.25)
         assert injector.link_capacity_factor(u, v) == 0.25
-        assert not injector.dead_links
+        assert not injector.controller.failed_links
         injector.mark_link_degraded(u, v, 0.0)
-        assert (u, v) in injector.dead_links
+        assert injector.controller.failed_links == {(u, v)}
         injector.mark_link_degraded(u, v, 1.0)
         assert injector.link_capacity_factor(u, v) == 1.0
+        assert not injector.controller.failed_links
         assert injector.counters["faults.link_restore"] == 1
 
+    def test_hard_fail_over_zero_degrade(self, small_tree):
+        """The controller sees a link dead while either factor kills it."""
+        injector = make_injector(small_tree)
+        u, v = small_tree.links[0].key
+        injector.mark_link_degraded(u, v, 0.0)
+        assert injector.mark_link_failed(u, v)
+        assert injector.mark_link_recovered(u, v)
+        assert injector.controller.is_link_failed(u, v)  # still degraded to 0
+        injector.mark_link_degraded(u, v, 0.5)
+        assert not injector.controller.is_link_failed(u, v)
+        assert injector.link_capacity_factor(u, v) == 0.5
+
     def test_assert_path_clear_flags_dead_link(self, small_tree):
-        injector = FaultInjector(small_tree, ())
+        injector = make_injector(small_tree)
         u, v = small_tree.links[0].key
         injector.mark_link_failed(u, v)
         with pytest.raises(RuntimeError, match="dead link"):
@@ -189,6 +204,45 @@ class TestEngineLinkFaults:
         assert summary["faults.parked_dwell"] > 0.0
         assert not sim._parked
 
+    @pytest.mark.parametrize("kind", ["fail", "degrade-to-zero"])
+    def test_dying_link_moves_the_flows_crossing_it(self, small_tree, kind):
+        """Flows on a link when it dies are rerouted off it before time
+        moves on (the raise-mode path-liveness invariant checks it).  At
+        t=1.0 this aggregation-core link carries three of them."""
+        u, v = small_tree.links[32].key
+        if kind == "fail":
+            dies = FaultSpec(time=1.0, kind=FaultKind.LINK_FAIL, target=u,
+                             target2=v)
+        else:
+            dies = FaultSpec(time=1.0, kind=FaultKind.LINK_DEGRADE, target=u,
+                             target2=v, factor=0.0)
+        sim, metrics, workload = run_link_timeline(
+            small_tree, [dies], scheduler="capacity"
+        )
+        assert len(metrics.jobs) == len(workload)
+        assert sim.faults.counters["faults.flows_rerouted"] == 3
+
+    def test_zero_degrade_parks_and_resumes_like_link_fail(self, flat_tree):
+        """Degrading to 0.0 kills the link exactly as a hard fail does, and
+        restoring the factor retries the parking lot."""
+        u, v = flat_tree.links[0].key
+        timeline = [
+            FaultSpec(time=0.05, kind=FaultKind.LINK_DEGRADE, target=u,
+                      target2=v, factor=0.0),
+            FaultSpec(time=3.0, kind=FaultKind.LINK_DEGRADE, target=u,
+                      target2=v, factor=1.0),
+        ]
+        sim, metrics, workload = run_link_timeline(
+            flat_tree, timeline, scheduler="capacity"
+        )
+        assert len(metrics.jobs) == len(workload)
+        counters = sim.faults.counters
+        assert counters["faults.link_degrade"] == 1
+        assert counters["faults.link_restore"] == 1
+        assert counters["faults.flows_parked"] >= 1
+        assert counters["faults.flows_resumed"] == counters["faults.flows_parked"]
+        assert not sim.controller.failed_links
+
     def test_degrade_slows_but_completes(self, small_tree):
         u, v = small_tree.links[0].key
         timeline = [
@@ -206,7 +260,7 @@ class TestEngineLinkFaults:
         assert sim.network.link_capacity_factor(u, v) == pytest.approx(0.1)
 
     def test_gauges_track_link_state(self, small_tree):
-        injector = FaultInjector(small_tree, ())
+        injector = make_injector(small_tree)
         u, v = small_tree.links[0].key
         injector.mark_link_failed(u, v)
         assert injector.gauges()["failed_links"] == 1

@@ -69,14 +69,14 @@ def test_no_flow_installed_through_failed_switch(small_tree, seed):
         orig_add, orig_reroute = sim.network.add_flow, sim.network.reroute_flow
 
         def add_flow(flow_id, path, size, now=0.0, remaining=None):
-            assert not (set(path) & sim.faults.failed_switches), (
+            assert not (set(path) & sim.controller.failed_switches), (
                 f"flow {flow_id} installed through failed switch on {path}"
             )
             installs.append(tuple(path))
             return orig_add(flow_id, path, size, now, remaining=remaining)
 
         def reroute_flow(flow_id, path):
-            assert not (set(path) & sim.faults.failed_switches)
+            assert not (set(path) & sim.controller.failed_switches)
             installs.append(tuple(path))
             return orig_reroute(flow_id, path)
 

@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.faults import FaultInjector, FaultKind, FaultSpec, generate_timeline
+from repro.faults import FaultKind, FaultSpec, generate_timeline
 from repro.schedulers import make_scheduler
 from repro.simulator import MapReduceSimulator, SimulationConfig
 from repro.simulator.events import EventKind, EventQueue
 from repro.topology import TreeConfig, build_tree
 
 from ..conftest import make_job
+from .test_injector import make_injector
 
 
 @pytest.fixture
@@ -39,7 +40,7 @@ class TestSpec:
 class TestInjector:
     def test_timed_slowdown_schedules_its_restore(self, topo):
         server = topo.server_ids[0]
-        injector = FaultInjector(
+        injector = make_injector(
             topo,
             [FaultSpec(0.1, FaultKind.TASK_SLOWDOWN, server, factor=4.0,
                        duration=0.3)],
@@ -54,7 +55,7 @@ class TestInjector:
         assert second.payload == (server, 1.0)
 
     def test_untimed_slowdown_schedules_one_event(self, topo):
-        injector = FaultInjector(
+        injector = make_injector(
             topo,
             [FaultSpec(0.1, FaultKind.TASK_SLOWDOWN, topo.server_ids[0],
                        factor=4.0)],

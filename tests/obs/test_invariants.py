@@ -228,6 +228,30 @@ class TestFlowConservation:
         assert "flow-conservation" in invariants_of(found)
 
 
+class TestPathLiveness:
+    """The invariant reads liveness from the controller, its one owner."""
+
+    def test_flow_over_dead_elements_detected(self, tree, controller):
+        network = FlowNetwork(tree)
+        path = tree.shortest_path(tree.server_ids[0], tree.server_ids[-1])
+        network.add_flow(0, path, size=4.0)
+        assert collect().check_path_liveness(network, controller) == []
+        controller.fail_link(path[0], path[1])
+        found = collect().check_path_liveness(network, controller)
+        assert invariants_of(found) == {"path-liveness"}
+        assert f"dead link ({path[0]}, {path[1]})" in found[0].detail
+        controller.fail_switch(path[2])
+        found = collect().check_path_liveness(network, controller)
+        assert len(found) == 1 and f"failed switch {path[2]}" in found[0].detail
+
+    def test_flow_off_the_dead_switch_passes(self, tree, controller):
+        network = FlowNetwork(tree)
+        path = tree.shortest_path(tree.server_ids[0], tree.server_ids[1])
+        network.add_flow(0, path, size=4.0)
+        controller.fail_switch(max(tree.switch_ids))
+        assert collect().check_path_liveness(network, controller) == []
+
+
 class TestQuiescence:
     def test_drained_controller_passes(self, controller):
         f = flow()

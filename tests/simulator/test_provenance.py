@@ -142,3 +142,26 @@ def test_online_arm_byte_identical():
     # Admission verdicts are audited with the arrival plane's reason codes.
     kinds = {r.kind for r in aud_sim.provenance.records()}
     assert "admission" in kinds
+
+
+def test_raising_run_closes_its_sinks(tmp_path):
+    """A run that raises mid-loop still closes the decision log and the
+    timeline stream, and takes no final timeline sample."""
+    topology = build_tree(
+        TreeConfig(depth=2, fanout=4, redundancy=2, server_resources=(2.0,))
+    )
+    jobs = WorkloadGenerator(seed=0).make_workload(2)
+    config = SimulationConfig(
+        max_events=5,
+        provenance=ProvenanceConfig(path=str(tmp_path / "decisions.jsonl")),
+        timeline_dt=0.1,
+        timeline_path=str(tmp_path / "timeline.jsonl"),
+    )
+    sim = MapReduceSimulator(
+        topology, make_scheduler("capacity", seed=0), jobs, config
+    )
+    with pytest.raises(RuntimeError, match="max_events"):
+        sim.run()
+    assert sim.provenance.sink.closed
+    assert sim.timeline.sink.closed
+    assert not sim.timeline._finished

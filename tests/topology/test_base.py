@@ -60,10 +60,6 @@ class TestLink:
         with pytest.raises(ValueError, match="bandwidth"):
             Link(0, 1, 0.0)
 
-    def test_rejects_negative_latency(self):
-        with pytest.raises(ValueError, match="latency"):
-            Link(0, 1, 1.0, latency=-0.5)
-
     def test_key_is_canonical(self):
         assert Link(3, 1, 1.0).key == (1, 3)
         assert Link(1, 3, 1.0).key == (1, 3)
@@ -183,10 +179,6 @@ class TestPathHelpers:
     def test_switches_on_path(self):
         topo = line_topology()
         assert topo.switches_on_path((0, 2, 3, 1)) == (2, 3)
-
-    def test_path_latency_sums_links(self):
-        topo = line_topology()
-        assert topo.path_latency((0, 2, 3, 1)) == pytest.approx(3.0)
 
     def test_path_links_directed(self):
         topo = line_topology()
